@@ -279,6 +279,38 @@ impl BoundedIndex {
         self.build_stats
     }
 
+    /// Approximate heap bytes of the index's auxiliary state: the per-node
+    /// masks, the candidate lists, the pair sets and support counters (hash
+    /// tables counted by capacity, one control byte per bucket) and the
+    /// landmark index the engine holds. In a service the landmark index is
+    /// the shared one and is counted there instead.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        fn table<K, V>(map: &FastHashMap<K, V>) -> usize {
+            map.capacity() * (size_of::<(K, V)>() + 1)
+        }
+        let pair_sets: usize = self
+            .pairs
+            .iter()
+            .chain(&self.rev_pairs)
+            .map(|map| {
+                table(map)
+                    + map
+                        .values()
+                        .map(|set| set.capacity() * (size_of::<NodeId>() + 1))
+                        .sum::<usize>()
+            })
+            .sum();
+        let support: usize = self.support.iter().map(table).sum();
+        let lists: usize =
+            self.cand_lists.iter().map(|list| list.capacity() * size_of::<NodeId>()).sum();
+        (self.cand_bits.capacity() + self.match_bits.capacity()) * size_of::<u64>()
+            + lists
+            + pair_sets
+            + support
+            + self.landmarks.memory_bytes()
+    }
+
     /// Snapshot of the auxiliary state (membership masks, pair sets, support
     /// counters), for bit-identity assertions in the equivalence suites.
     pub fn aux_snapshot(&self) -> BsimAuxSnapshot {
@@ -1628,6 +1660,10 @@ impl IncrementalEngine for BoundedIndex {
         BoundedIndex::poisoned(self)
     }
 
+    fn memory_bytes(&self) -> usize {
+        BoundedIndex::memory_bytes(self)
+    }
+
     /// The landmark/distance index is graph-wide and pattern-independent, so
     /// the service maintains exactly one and every registered bounded pattern
     /// reads it — the sharing that makes multi-pattern `IncLM` cost
@@ -1636,6 +1672,10 @@ impl IncrementalEngine for BoundedIndex {
 
     fn shared_build(graph: &DataGraph, shards: usize) -> Self::Shared {
         LandmarkIndex::build_with_shards(graph, LandmarkSelection::VertexCover, shards)
+    }
+
+    fn shared_memory_bytes(shared: &LandmarkIndex) -> usize {
+        shared.memory_bytes()
     }
 
     fn shared_stage() -> &'static str {

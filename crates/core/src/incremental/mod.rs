@@ -132,6 +132,14 @@ pub trait IncrementalEngine: Sized {
         *self = Self::rebuild_with_shards(self.pattern(), graph, shards);
     }
 
+    /// Approximate heap bytes of this engine's own auxiliary state — what
+    /// one more registered pattern costs. Structures shared with other
+    /// patterns (the candidate lists a service interns, the
+    /// [`Shared`](IncrementalEngine::Shared) state) are left to
+    /// [`shared_memory_bytes`](IncrementalEngine::shared_memory_bytes) and
+    /// [`MatchService::memory_bytes`](crate::service::MatchService::memory_bytes).
+    fn memory_bytes(&self) -> usize;
+
     // ------------------------------------------------------------------
     // Service mode (MatchService)
     // ------------------------------------------------------------------
@@ -161,6 +169,9 @@ pub trait IncrementalEngine: Sized {
     /// Also the service-level *recovery* step after a contained shared-stage
     /// panic: a freshly built value must be exact for the rolled-back graph.
     fn shared_build(graph: &DataGraph, shards: usize) -> Self::Shared;
+
+    /// Approximate heap bytes of the shared auxiliary structure.
+    fn shared_memory_bytes(shared: &Self::Shared) -> usize;
 
     /// The [`igpm_graph::StagePanic`] stage label reported when
     /// [`shared_mutate`](IncrementalEngine::shared_mutate) panics: the

@@ -4,24 +4,51 @@
 //! The auxiliary structures are the ones the paper identifies as *necessary
 //! local information* (Section 4) — for every pattern node `u`, the set
 //! `match(u)` of current matches and the set `candt(u)` of candidates — but
-//! represented for `O(1)` work per touched pair instead of hash-set probes:
+//! represented for `O(1)` work per touched pair instead of hash-set probes,
+//! and stored only for the nodes they are about:
 //!
+//! * **Candidate slots.** A data node that satisfies the predicate of some
+//!   pattern node owns one *slot*; every other node owns nothing. Slots are
+//!   numbered in ascending node order, and a rank bitvector over node ids
+//!   (one bit per node plus a `u32` rank per 64 nodes) maps a node to its
+//!   slot in `O(1)` — a word test and a popcount, no search. This is a RETE
+//!   alpha memory: a store holding only the elements that pass a node's
+//!   condition (Beyhl & Giese, generalized discrimination networks).
 //! * **Pattern bitmasks.** Pattern arity is bounded by 64 (asserted at
-//!   [`SimulationIndex::build`]), so per data node `v` the memberships
+//!   [`SimulationIndex::build`]), so per slot the memberships
 //!   `v ∈ match(u)` / `v ∈ candt(u)` over *all* pattern nodes are two `u64`
-//!   words ([`SimulationIndex`]`::match_bits` / `candt_bits`). The `ss` /
-//!   `cs` / `cc` update classification of Table II — which the seed
-//!   implementation answered with `|E_p|` hash probes per update — becomes a
-//!   couple of word operations.
-//! * **Support counters.** For every (data node `v`, pattern node `u2`),
-//!   `cnt[v][u2] = |children(v) ∩ match(u2)|`, maintained incrementally in the
-//!   style of Henzinger–Henzinger–Kopke counter refinement (already used by
-//!   the batch [`crate::simulation::match_simulation`]). A match `(u, v)` is
-//!   supported iff `cnt[v][u2] > 0` for every pattern child `u2` of `u`, so
-//!   deletion propagation decrements a counter and demotes exactly when it
-//!   hits zero — the `O(deg(v)·|E_p|)` `has_full_support` adjacency rescans of
-//!   the seed implementation are gone, and the work per affected pair is
+//!   words. The `ss` / `cs` / `cc` update classification of Table II — which
+//!   the seed implementation answered with `|E_p|` hash probes per update —
+//!   becomes a couple of word operations.
+//! * **Support counters.** For every slot `v` and every pattern node `u2`
+//!   with a pattern parent that `v` is a candidate of,
+//!   `cnt[v][u2] = |children(v) ∩ match(u2)|`, maintained incrementally in
+//!   the style of Henzinger–Henzinger–Kopke counter refinement (already used
+//!   by the batch [`crate::simulation::match_simulation`]). A match `(u, v)`
+//!   is supported iff `cnt[v][u2] > 0` for every pattern child `u2` of `u`,
+//!   so deletion propagation decrements a counter and demotes exactly when it
+//!   hits zero — the `O(deg(v)·|E_p|)` `has_full_support` adjacency rescans
+//!   of the seed implementation are gone, and the work per affected pair is
 //!   `O(1)` plus the propagation the paper's `|AFF|` bound already charges.
+//!   No other pair has a counter: nothing ever reads one.
+//!
+//! # Memory
+//!
+//! Per pattern, with `C` the set of nodes that are a candidate of some
+//! pattern node (`|C| ≤ Σ|cand(u)|`):
+//!
+//! * 1.5 bits per data node — the slot bitvector and its ranks, the only
+//!   part that grows with `|V|`;
+//! * 28 bytes per slot — the two membership words, the offset of the
+//!   slot's counter row and the row's pattern-node mask (kept so that a
+//!   counter lookup is a popcount, not a walk over the slot's candidacies);
+//! * 4 bytes per support counter — one per slot and pattern child of a
+//!   pattern node the slot's node is a candidate of.
+//!
+//! The candidate lists the index was built from are kept as the `Arc`s a
+//! [`MatchService`](crate::service::MatchService) interns, shared with every
+//! registration that carries the same predicate, not copied.
+//! [`SimulationIndex::memory_bytes`] reports the sum.
 //!
 //! Updates are classified per pattern edge into `ss`, `cs` and `cc` edges
 //! (Table II):
@@ -43,7 +70,8 @@
 //! node id, so [`SimulationIndex::apply_batch`] runs the *whole* path —
 //! `minDelta` reduction, graph mutation, counter absorption, demotion drain,
 //! promotion drain — across the same contiguous node-range *shards*
-//! ([`igpm_graph::shard`]):
+//! ([`igpm_graph::shard`]). Slots ascend with node ids, so a node range owns
+//! a contiguous slot range and a contiguous run of counter rows:
 //!
 //! * the **`minDelta` reduction** shards by update source (all updates
 //!   touching an edge share its source), nets each shard's edges and
@@ -54,7 +82,7 @@
 //!   same plan — out-adjacency (and its per-node position map) sharded by
 //!   source, in-adjacency by target
 //!   ([`DataGraph::apply_reduced_batch_sharded`]);
-//! * **absorption** touches only the counter rows of each update's source
+//! * **absorption** touches only the counter row of each update's source
 //!   node, so shards absorb their own updates with no communication at all;
 //! * the **demotion/promotion drains** become synchronous *rounds*: a shard
 //!   first applies the counter deltas addressed to its nodes (enqueuing
@@ -65,9 +93,10 @@
 //!   when every worklist and inbox is empty;
 //! * **`propCC`** (the SCC-joint pass of cyclic patterns, run between
 //!   rounds) splits into read-only per-SCC evaluation — speculative, on
-//!   scoped threads, with the `O(|V|)` tentative gather and the derivation/
-//!   seed scans chunked — and an ordered commit with a dirty fallback that
-//!   reproduces the sequential cross-SCC data flow exactly (see `prop_cc`).
+//!   scoped threads, with the tentative gather over the candidate slots and
+//!   the derivation/seed scans chunked — and an ordered commit with a dirty
+//!   fallback that reproduces the sequential cross-SCC data flow exactly
+//!   (see `prop_cc`).
 //!
 //! Within a round every decision depends only on state frozen at the round
 //! boundary, and every statistic counts a set whose contents are
@@ -79,10 +108,10 @@
 //!
 //! The cold-start [`SimulationIndex::build`] reuses the same plan: the
 //! label-index pass and candidate enumeration run per node-range slice with
-//! ordered merges ([`crate::simulation::candidates_with_shards`]), candidate
-//! mask seeding and support-counter derivation run on disjoint node-range
-//! slices, and the initial refinement is the round-based demotion drain — so
-//! builds are bit-identical for every shard count too (see
+//! ordered merges ([`crate::simulation::candidates_with_shards`]), the
+//! support-counter derivation runs on disjoint node-range slices of the
+//! counter rows, and the initial refinement is the round-based demotion
+//! drain — so builds are bit-identical for every shard count too (see
 //! [`SimulationIndex::build_with_shards`]).
 
 use crate::incremental::{
@@ -101,20 +130,234 @@ use igpm_graph::{
     ResultGraph, StronglyConnectedComponents, Update,
 };
 use std::cell::{Ref, RefCell};
+use std::mem::size_of;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Maximum pattern arity representable in the membership bitmasks.
 pub const MAX_PATTERN_NODES: usize = 64;
 
-/// Membership bitmasks of one data node: bit `u` of `matched` ⇔
-/// `v ∈ match(u)`, bit `u` of `candt` ⇔ `v ∈ candt(u)` (satisfies the
-/// predicate of `u` but does not currently match it). The two words live side
-/// by side so classification reads one cache line per node.
+/// Membership bitmasks of one slot: bit `u` of `matched` ⇔ `v ∈ match(u)`,
+/// bit `u` of `candt` ⇔ `v ∈ candt(u)` (satisfies the predicate of `u` but
+/// does not currently match it). The two words live side by side so
+/// classification reads one cache line per node.
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeMasks {
     matched: u64,
     candt: u64,
+}
+
+impl NodeMasks {
+    /// Every pattern node the slot's node is a candidate of. Fixed for the
+    /// slot's lifetime: promotion and demotion only move a bit between the
+    /// two words.
+    #[inline]
+    fn cand(self) -> u64 {
+        self.matched | self.candt
+    }
+}
+
+/// Iterator over the set bits of a word, ascending.
+#[derive(Clone, Copy)]
+struct Bits(u64);
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
+}
+
+/// Where one pattern's per-node state lives: a rank bitvector over node ids
+/// marking the nodes that own a slot (the candidates of some pattern node,
+/// slots in ascending node order), plus where every slot's counter row
+/// starts and which pattern nodes it holds counters for. Fixed between node
+/// additions; read-only during every batch stage.
+#[derive(Debug, Clone)]
+struct SlotLayout {
+    /// Bit `v % 64` of `words[v / 64]` ⇔ node `v` owns a slot.
+    words: Vec<u64>,
+    /// `ranks[w]` = slots owned by the nodes below `64 · w`.
+    ranks: Vec<u32>,
+    /// Number of slots.
+    len: usize,
+    /// `rows[s]..rows[s + 1]` are slot `s`'s counter positions
+    /// (`rows.len() = len + 1`).
+    rows: Vec<u32>,
+    /// `needs[s]`: the pattern nodes slot `s` keeps counters for, one per
+    /// bit in ascending order ([`row_mask`] of its masks, fixed for the
+    /// slot's lifetime).
+    needs: Vec<u64>,
+}
+
+impl SlotLayout {
+    /// The layout of `nv` nodes whose slot owners are the nodes listed in
+    /// `lists`, with no counter rows yet ([`SlotLayout::push_row`] adds them
+    /// in slot order).
+    fn from_lists(nv: usize, lists: &[Arc<Vec<NodeId>>]) -> Self {
+        let mut words = vec![0u64; nv.div_ceil(64)];
+        for list in lists {
+            for v in list.iter() {
+                words[v.index() >> 6] |= 1u64 << (v.index() & 63);
+            }
+        }
+        let mut ranks = Vec::with_capacity(words.len());
+        let mut len = 0usize;
+        for word in &words {
+            ranks.push(u32::try_from(len).expect("slot count exceeds u32"));
+            len += word.count_ones() as usize;
+        }
+        SlotLayout { words, ranks, len, rows: vec![0], needs: Vec::with_capacity(len) }
+    }
+
+    /// The slot of node `v`, if it owns one: one word test and a popcount.
+    #[inline]
+    fn slot(&self, v: usize) -> Option<usize> {
+        let word = *self.words.get(v >> 6)?;
+        let bit = 1u64 << (v & 63);
+        if word & bit == 0 {
+            return None;
+        }
+        Some(self.ranks[v >> 6] as usize + (word & (bit - 1)).count_ones() as usize)
+    }
+
+    /// Slots owned by the nodes below `v`.
+    #[inline]
+    fn rank(&self, v: usize) -> usize {
+        match self.words.get(v >> 6) {
+            Some(&word) => {
+                let below = word & ((1u64 << (v & 63)) - 1);
+                self.ranks[v >> 6] as usize + below.count_ones() as usize
+            }
+            None => self.len,
+        }
+    }
+
+    /// The slots of a node range — contiguous, since slots ascend with node
+    /// ids.
+    fn slots_of(&self, nodes: &Range<usize>) -> Range<usize> {
+        self.rank(nodes.start)..self.rank(nodes.end)
+    }
+
+    /// The counter positions of slot `s`.
+    #[inline]
+    fn row(&self, s: usize) -> Range<usize> {
+        self.rows[s] as usize..self.rows[s + 1] as usize
+    }
+
+    /// The counter positions of a slot range (contiguous, like the slots).
+    fn rows_of(&self, slots: &Range<usize>) -> Range<usize> {
+        self.rows[slots.start] as usize..self.rows[slots.end] as usize
+    }
+
+    /// Total number of counters.
+    fn counters(&self) -> usize {
+        self.rows[self.len] as usize
+    }
+
+    /// The nodes owning a slot within `nodes`, ascending — paired with
+    /// `slots_of(nodes)` they enumerate `(slot, node)` in order.
+    fn nodes_in(&self, nodes: Range<usize>) -> impl Iterator<Item = usize> + '_ {
+        let end = nodes.end.min(self.words.len() * 64);
+        let start = nodes.start.min(end);
+        (start >> 6..end.div_ceil(64)).flat_map(move |w| {
+            let mut word = self.words[w];
+            if w == start >> 6 {
+                word &= !0u64 << (start & 63);
+            }
+            if (w + 1) * 64 > end {
+                word &= (1u64 << (end & 63)) - 1;
+            }
+            Bits(word).map(move |bit| w * 64 + bit)
+        })
+    }
+
+    /// Every node owning a slot, in slot order.
+    fn nodes(&self) -> impl Iterator<Item = usize> + '_ {
+        self.nodes_in(0..self.words.len() * 64)
+    }
+
+    /// The pattern nodes slot `s` keeps support counters for.
+    #[inline]
+    fn need(&self, s: usize) -> u64 {
+        self.needs[s]
+    }
+
+    /// Appends the counter row of the next slot: one counter per pattern
+    /// node in `need`.
+    fn push_row(&mut self, need: u64) {
+        let end = self.rows[self.rows.len() - 1] as usize + need.count_ones() as usize;
+        self.rows.push(u32::try_from(end).expect("support counters exceed u32 positions"));
+        self.needs.push(need);
+    }
+
+    /// Covers node `v`, the node after every covered one; when `need` is
+    /// `Some`, `v` owns the next slot with that counter row.
+    fn push_node(&mut self, v: usize, need: Option<u64>) {
+        if v >> 6 == self.words.len() {
+            self.words.push(0);
+            self.ranks.push(u32::try_from(self.len).expect("slot count exceeds u32"));
+        }
+        if let Some(need) = need {
+            self.words[v >> 6] |= 1u64 << (v & 63);
+            self.len += 1;
+            self.push_row(need);
+        }
+    }
+
+    /// Heap bytes of the layout.
+    fn memory_bytes(&self) -> usize {
+        (self.words.capacity() + self.needs.capacity()) * size_of::<u64>()
+            + (self.ranks.capacity() + self.rows.capacity()) * size_of::<u32>()
+    }
+}
+
+/// The pattern nodes whose support counters a slot with masks `m` keeps: the
+/// pattern children of every pattern node its node is a candidate of.
+#[inline]
+fn row_mask(child_mask: &[u64], m: NodeMasks) -> u64 {
+    Bits(m.cand()).fold(0, |need, u| need | child_mask[u])
+}
+
+/// Offset of `u2`'s counter within a row whose pattern nodes are `need`
+/// (counters are kept in ascending pattern-node order).
+#[inline]
+fn row_offset(need: u64, u2: usize) -> usize {
+    (need & ((1u64 << u2) - 1)).count_ones() as usize
+}
+
+/// One counter read per pattern child of `u` over a single slot's counter
+/// row (`children` ⊆ `need` for every `u` the slot is a candidate of).
+#[inline]
+fn row_has_support(row: &[u32], need: u64, children: u64) -> bool {
+    debug_assert_eq!(children & !need, 0, "support read outside the counter row");
+    Bits(children).all(|u2| row[row_offset(need, u2)] > 0)
+}
+
+/// Read-only view of one pattern's slot state — plain shared slices, `Sync`,
+/// so worker threads can hold it without capturing the index (whose lazy
+/// match cache is not `Sync`).
+#[derive(Clone, Copy)]
+struct SlotView<'a> {
+    layout: &'a SlotLayout,
+    masks: &'a [NodeMasks],
+    child_mask: &'a [u64],
+}
+
+impl SlotView<'_> {
+    /// The membership masks of node `v` — empty for a node without a slot.
+    #[inline]
+    fn masks_of(&self, v: usize) -> NodeMasks {
+        self.layout.slot(v).map_or(NodeMasks::default(), |s| self.masks[s])
+    }
 }
 
 /// Auxiliary state for incremental simulation over one pattern.
@@ -123,12 +366,22 @@ pub struct SimulationIndex {
     pattern: Pattern,
     /// Number of pattern nodes (`≤ 64`).
     np: usize,
-    /// Number of data nodes covered by the per-node arrays.
+    /// Number of data nodes the index has observed (covered by `layout`).
     nv: usize,
-    /// Per-data-node membership masks, interleaved so that reading a node's
-    /// match *and* candidate bits costs a single cache line.
+    /// The candidate list of every pattern node over the first `listed`
+    /// nodes, ascending: the interned `Arc`s of a service (shared, not
+    /// copied), or the index's own lists when built standalone. Candidates
+    /// among nodes observed later are found through `layout`.
+    cand_lists: Vec<Arc<Vec<NodeId>>>,
+    /// Number of nodes `cand_lists` covers.
+    listed: usize,
+    /// Node → slot map and the counter-row offsets.
+    layout: SlotLayout,
+    /// Membership masks per slot.
     masks: Vec<NodeMasks>,
-    /// `cnt[v * np + u2] = |children(v) ∩ match(u2)|` — the support counters.
+    /// The support counters, one row per slot: `cnt[v][u2] =
+    /// |children(v) ∩ match(u2)|` for each `u2` in the slot's
+    /// [`row_mask`], ascending.
     cnt: Vec<u32>,
     /// `|match(u)|` per pattern node (emptiness checks in O(1)).
     match_count: Vec<usize>,
@@ -163,9 +416,11 @@ pub struct SimulationIndex {
     poisoned: bool,
 }
 
-/// Byte-for-byte view of a [`SimulationIndex`]'s per-node auxiliary state,
-/// used by the build/batch equivalence suites to assert that every shard
-/// count lands on *identical* internals, not merely the same match relation.
+/// Byte-for-byte view of a [`SimulationIndex`]'s auxiliary state, rendered
+/// densely per data node, used by the build/batch equivalence suites to
+/// assert that every shard count lands on *identical* internals, not merely
+/// the same match relation. Nodes without a slot render as empty masks, and
+/// pairs without a support counter as a zero counter.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimAuxSnapshot {
     /// `matched` membership mask per data node.
@@ -204,11 +459,10 @@ impl SimulationIndex {
     /// and machine parallelism are ignored).
     ///
     /// The cold-start path is embarrassingly parallel over nodes and reuses
-    /// the batch shard plan ([`ShardPlan`]): bitmask seeding from the
-    /// label-indexed candidate lists and the support-counter derivation both
-    /// run on disjoint `split_at_mut` node-range slices (counters are derived
-    /// from each owned node's *children*, so a shard only writes its own
-    /// rows), and the initial demotion drain runs through the same
+    /// the batch shard plan ([`ShardPlan`]): the support-counter derivation
+    /// runs on the disjoint counter rows of each node range (counters are
+    /// derived from each owned node's *children*, so a shard only writes its
+    /// own rows), and the initial demotion drain runs through the same
     /// bulk-synchronous round machinery as the batch engine. `shards = 1` is
     /// the sequential engine; every count produces bit-identical masks,
     /// counters, cached matches and build [`AffStats`]
@@ -227,28 +481,24 @@ impl SimulationIndex {
         graph: &DataGraph,
         shards: usize,
     ) -> Result<Self, BuildError> {
-        if !pattern.is_normal() {
-            return Err(BuildError::NotNormal);
-        }
-        if pattern.node_count() > MAX_PATTERN_NODES {
-            return Err(BuildError::ArityTooLarge { arity: pattern.node_count() });
-        }
-        let cand_lists = candidates_with_shards(pattern, graph, shards);
-        let list_refs: Vec<&[NodeId]> = cand_lists.iter().map(Vec::as_slice).collect();
-        Ok(Self::build_from_candidates(pattern, graph, &list_refs, shards))
+        check_buildable(pattern)?;
+        let cand_lists =
+            candidates_with_shards(pattern, graph, shards).into_iter().map(Arc::new).collect();
+        Ok(Self::build_from_candidates(pattern, graph, cand_lists, shards))
     }
 
     /// Build core shared by the standalone constructors and the service path
-    /// ([`IncrementalEngine::build_in_service`]): seeds masks and counters
-    /// from precomputed per-pattern-node candidate lists and runs the
-    /// initial refinement drain. Preconditions (checked by the callers):
-    /// `pattern` is normal with arity ≤ [`MAX_PATTERN_NODES`], and
-    /// `cand_lists[u]` is the ascending candidate list of pattern node `u`
+    /// ([`IncrementalEngine::build_in_service`]): lays out one slot per
+    /// candidate, seeds masks and counters from the per-pattern-node
+    /// candidate lists (kept, not copied) and runs the initial refinement
+    /// drain. Preconditions (checked by the callers): `pattern` is normal
+    /// with arity ≤ [`MAX_PATTERN_NODES`], and `cand_lists[u]` is the
+    /// ascending candidate list of pattern node `u` over every graph node,
     /// exactly as [`candidates_with_shards`] computes it.
     fn build_from_candidates(
         pattern: &Pattern,
         graph: &DataGraph,
-        cand_lists: &[&[NodeId]],
+        cand_lists: Vec<Arc<Vec<NodeId>>>,
         shards: usize,
     ) -> Self {
         debug_assert!(pattern.is_normal() && pattern.node_count() <= MAX_PATTERN_NODES);
@@ -275,13 +525,36 @@ impl SimulationIndex {
             }
         }
 
+        // Start with match(u) = all candidates of u: one slot per node in
+        // the union of the lists, then one counter row per slot.
+        let mut layout = SlotLayout::from_lists(nv, &cand_lists);
+        let mut masks = vec![NodeMasks::default(); layout.len];
+        let mut match_count = vec![0usize; np];
+        for (u, list) in cand_lists.iter().enumerate() {
+            // Slot order (and so the bit-identity of sharded builds) follows
+            // node order; the label-index buckets and predicate scans of
+            // `candidates()` produce ascending lists.
+            debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "candidate list not id-sorted");
+            match_count[u] = list.len();
+            for v in list.iter() {
+                masks[layout.slot(v.index()).expect("listed candidates own a slot")].matched |=
+                    1 << u;
+            }
+        }
+        for &m in &masks {
+            layout.push_row(row_mask(&child_mask, m));
+        }
+
         let mut index = SimulationIndex {
             pattern: pattern.clone(),
             np,
             nv,
-            masks: vec![NodeMasks::default(); nv],
-            cnt: vec![0u32; nv * np],
-            match_count: vec![0usize; np],
+            cand_lists,
+            listed: nv,
+            cnt: vec![0u32; layout.counters()],
+            layout,
+            masks,
+            match_count,
             child_mask,
             parent_masks,
             scc_child_mask,
@@ -294,56 +567,33 @@ impl SimulationIndex {
             poisoned: false,
         };
 
-        // Start with match(u) = all candidates of u. The candidate lists come
-        // from the sharded label-index pass + predicate scans (per node-range
-        // slice, merged in node order — see `candidates_with_shards`), or
-        // interned by the service; seeding them into the per-node masks is
-        // sharded too — each shard binary-searches its node range in the
-        // sorted lists and writes only its own mask slice.
-        for (u, list) in cand_lists.iter().enumerate() {
-            index.match_count[u] = list.len();
-        }
-        let plan = ShardPlan::new(nv, shards);
-        let fan_out = plan.count > 1 && nv >= PARALLEL_WORK_THRESHOLD;
-        if fan_out {
-            std::thread::scope(|scope| {
-                let mut rest = index.masks.as_mut_slice();
-                for shard in 0..plan.count {
-                    let range = plan.range(shard);
-                    let (chunk, tail) = rest.split_at_mut(range.len());
-                    rest = tail;
-                    scope.spawn(move || seed_masks_shard(chunk, range.start, cand_lists));
-                }
-            });
-        } else {
-            seed_masks_shard(&mut index.masks, 0, cand_lists);
-        }
-
         // Derive the counters and scan for unsupported pairs. Each shard owns
         // the counter rows of its node range and derives them from its nodes'
         // *children* (`cnt[p][u2] = |children(p) ∩ match(u2)|` — the same
-        // numbers as the reverse-adjacency pass, but writing only owned rows),
-        // reading the masks frozen by the phase boundary above.
-        let seeds: Vec<Seed> = if fan_out {
-            let masks = &index.masks;
-            let child_mask = &index.child_mask;
+        // numbers as a reverse-adjacency pass, but writing only owned rows),
+        // reading the masks seeded above.
+        let plan = ShardPlan::new(nv, shards);
+        let view =
+            SlotView { layout: &index.layout, masks: &index.masks, child_mask: &index.child_mask };
+        let seeds: Vec<Seed> = if plan.count > 1 && nv >= PARALLEL_WORK_THRESHOLD {
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(plan.count);
                 let mut rest = index.cnt.as_mut_slice();
                 for shard in 0..plan.count {
-                    let range = plan.range(shard);
-                    let (chunk, tail) = rest.split_at_mut(range.len() * np);
+                    let nodes = plan.range(shard);
+                    let counters = view.layout.rows_of(&view.layout.slots_of(&nodes));
+                    let (chunk, tail) = rest.split_at_mut(counters.len());
                     rest = tail;
-                    handles.push(scope.spawn(move || {
-                        derive_counters_shard(masks, child_mask, np, range, chunk, graph)
-                    }));
+                    handles.push(
+                        scope.spawn(move || derive_counters_shard(view, nodes, chunk, graph)),
+                    );
                 }
                 // Shard order concatenation = ascending node order, exactly
                 // the order the sequential scan produces.
                 handles.into_iter().flat_map(|h| h.join().expect("build shard panicked")).collect()
             })
         } else {
-            derive_counters_shard(&index.masks, &index.child_mask, np, 0..nv, &mut index.cnt, graph)
+            derive_counters_shard(view, 0..nv, &mut index.cnt, graph)
         };
 
         // Refine to the greatest fixpoint: every unsupported pair is demoted
@@ -351,7 +601,7 @@ impl SimulationIndex {
         // bulk-synchronous round machinery as the batch demotion phase.
         let mut build_stats = AffStats::default();
         if !seeds.is_empty() {
-            index.drain_demotions_sharded(graph, seeds, plan, &mut build_stats);
+            index.run_drain(graph, RoundKind::Demote, seeds, plan, &mut build_stats);
         }
         index.build_stats = build_stats;
         index
@@ -364,16 +614,54 @@ impl SimulationIndex {
         self.build_stats
     }
 
-    /// Snapshot of the raw per-node auxiliary state (membership masks,
-    /// support counters, match counts), for bit-identity assertions in the
-    /// equivalence suites.
+    /// Snapshot of the auxiliary state (membership masks, support counters,
+    /// match counts) rendered densely per data node, for bit-identity
+    /// assertions in the equivalence suites.
     pub fn aux_snapshot(&self) -> SimAuxSnapshot {
-        SimAuxSnapshot {
-            matched: self.masks.iter().map(|m| m.matched).collect(),
-            candt: self.masks.iter().map(|m| m.candt).collect(),
-            counters: self.cnt.clone(),
+        let (nv, np) = (self.nv, self.np);
+        let mut snapshot = SimAuxSnapshot {
+            matched: vec![0; nv],
+            candt: vec![0; nv],
+            counters: vec![0; nv * np],
             match_count: self.match_count.clone(),
+        };
+        for (s, v) in self.layout.nodes().enumerate() {
+            let m = self.masks[s];
+            snapshot.matched[v] = m.matched;
+            snapshot.candt[v] = m.candt;
+            let need = self.layout.need(s);
+            for (u2, &count) in Bits(need).zip(&self.cnt[self.layout.row(s)]) {
+                snapshot.counters[v * np + u2] = count;
+            }
         }
+        snapshot
+    }
+
+    /// Approximate heap bytes of the index's auxiliary state: the slot
+    /// layout, the per-slot masks, the counter rows, the per-pattern-node
+    /// arrays and the candidate lists only this index holds. Lists shared
+    /// with a [`MatchService`](crate::service::MatchService)'s interner are
+    /// the service's to count, and the lazily materialised match view is a
+    /// copy of the answer, not auxiliary state. Grows with `Σ|cand(u)|` and
+    /// by 1.5 bits per data node (see the [module docs](self)).
+    pub fn memory_bytes(&self) -> usize {
+        let lists: usize = self
+            .cand_lists
+            .iter()
+            .filter(|list| Arc::strong_count(list) == 1)
+            .map(|list| list.capacity() * size_of::<NodeId>())
+            .sum();
+        let per_pattern_node = self.match_count.capacity() * size_of::<usize>()
+            + (self.child_mask.capacity()
+                + self.parent_masks.capacity()
+                + self.scc_child_mask.capacity())
+                * size_of::<u64>()
+            + self.cand_lists.capacity() * size_of::<Arc<Vec<NodeId>>>();
+        self.layout.memory_bytes()
+            + self.masks.capacity() * size_of::<NodeMasks>()
+            + self.cnt.capacity() * size_of::<u32>()
+            + per_pattern_node
+            + lists
     }
 
     /// The pattern the index maintains matches for.
@@ -466,11 +754,16 @@ impl SimulationIndex {
     }
 
     fn rebuild_relation(&self) -> MatchRelation {
-        rebuild_relation_from(&self.masks, &self.match_count, self.np, self.nv)
+        rebuild_relation_from(&self.layout, &self.masks, &self.match_count, self.np)
     }
 
     fn invalidate_cache(&mut self) {
         *self.cache.get_mut() = None;
+    }
+
+    /// The read-only slot view of the index.
+    fn view(&self) -> SlotView<'_> {
+        SlotView { layout: &self.layout, masks: &self.masks, child_mask: &self.child_mask }
     }
 
     /// True if every pattern node currently has at least one match.
@@ -481,12 +774,13 @@ impl SimulationIndex {
     /// The current matches of one pattern node, sorted (may be nonempty even
     /// when the overall pattern does not match — this is the partial
     /// information that makes the problem semi-bounded rather than bounded,
-    /// cf. Example 4.3).
+    /// cf. Example 4.3). Costs `O(|cand(u)|)`.
     pub fn match_set(&self, u: PatternNodeId) -> Vec<NodeId> {
         self.collect_bit(u, |m| m.matched)
     }
 
-    /// The current candidates of one pattern node, sorted.
+    /// The current candidates of one pattern node, sorted. Costs
+    /// `O(|cand(u)|)`.
     pub fn candidate_set(&self, u: PatternNodeId) -> Vec<NodeId> {
         self.collect_bit(u, |m| m.candt)
     }
@@ -495,14 +789,20 @@ impl SimulationIndex {
     /// not yet observed (added after the last index operation) match nothing.
     #[inline]
     pub fn contains(&self, u: PatternNodeId, v: NodeId) -> bool {
-        self.masks.get(v.index()).is_some_and(|m| m.matched & (1 << u.index()) != 0)
+        self.view().masks_of(v.index()).matched & (1 << u.index()) != 0
     }
 
+    /// The candidates of `u` whose `select`ed mask has `u`'s bit: the listed
+    /// candidates, then those among the nodes observed since the build.
     fn collect_bit(&self, u: PatternNodeId, select: impl Fn(NodeMasks) -> u64) -> Vec<NodeId> {
+        let Some(list) = self.cand_lists.get(u.index()) else { return Vec::new() };
         let mask = 1u64 << u.index();
-        (0..self.nv)
-            .filter(|&v| select(self.masks[v]) & mask != 0)
-            .map(NodeId::from_index)
+        let view = self.view();
+        let later = self.layout.nodes_in(self.listed..self.nv).map(NodeId::from_index);
+        list.iter()
+            .copied()
+            .chain(later)
+            .filter(|v| select(view.masks_of(v.index())) & mask != 0)
             .collect()
     }
 
@@ -517,7 +817,8 @@ impl SimulationIndex {
 
     /// `IncMatch-`: deletes the edge `(from, to)` from `graph` and maintains
     /// the match (optimal, `O(|AFF|)`, Theorem 5.1(2a)). Returns the batch
-    /// statistics plus the emitted [`MatchDelta`].
+    /// statistics plus the emitted [`MatchDelta`]. An endpoint outside the
+    /// graph makes the call a no-op, like an absent edge.
     ///
     /// # Panics
     /// Panics if the index is [poisoned](SimulationIndex::poisoned).
@@ -526,11 +827,11 @@ impl SimulationIndex {
         let mut stats = AffStats { delta_g: 1, ..AffStats::default() };
         let was_match = self.is_match();
         self.tracker.arm(false);
-        // Grow the per-node arrays first: nodes added since the last index
+        // Grow the per-node state first: nodes added since the last index
         // operation must be classified with live masks, not skipped.
         self.ensure_node_capacity(graph);
         // Classified on the pre-update state, as in Table II.
-        let relevant = self.is_ss_edge(from, to);
+        let relevant = is_ss_edge(self.view(), from, to);
         if !graph.remove_edge(from, to) {
             return self.finish_apply(stats, was_match);
         }
@@ -538,7 +839,7 @@ impl SimulationIndex {
         // edge (`to` may match pattern nodes that `from` only *candidates*
         // for); Proposition 5.1 only says the match itself cannot change.
         let mut worklist: Vec<(u32, u32)> = Vec::new();
-        self.counters_on_removed_edge(from, to, &mut worklist, &mut stats);
+        self.absorb_unit(Update::delete(from, to), &mut worklist, &mut stats);
         if relevant {
             stats.reduced_delta_g = 1;
         }
@@ -552,7 +853,9 @@ impl SimulationIndex {
     /// `propCC` phase simply never fires): inserts the edge `(from, to)` into
     /// `graph` and maintains the match. Returns the batch statistics plus
     /// the emitted [`MatchDelta`]; as an insertion, the delta rides the
-    /// monotone fast path (no removal tracking).
+    /// monotone fast path (no removal tracking). An endpoint outside the
+    /// graph makes the call a no-op, like a present edge — the same skip
+    /// [`SimulationIndex::delete_edge`] and the lenient batch path make.
     ///
     /// # Panics
     /// Panics if the index is [poisoned](SimulationIndex::poisoned).
@@ -561,15 +864,16 @@ impl SimulationIndex {
         let mut stats = AffStats { delta_g: 1, ..AffStats::default() };
         let was_match = self.is_match();
         self.tracker.arm(true);
-        // Grow the per-node arrays first: the first edge out of a node added
+        // Grow the per-node state first: the first edge out of a node added
         // after the last index operation must see that node as a candidate.
         self.ensure_node_capacity(graph);
-        let relevant = self.is_cs_or_cc_edge(from, to);
-        if !graph.add_edge(from, to) {
+        let relevant = is_cs_or_cc_edge(self.view(), from, to);
+        let in_range = graph.contains_node(from) && graph.contains_node(to);
+        if !in_range || !graph.add_edge(from, to) {
             return self.finish_apply(stats, was_match);
         }
         let mut worklist: Vec<(u32, u32)> = Vec::new();
-        self.counters_on_inserted_edge(from, to, &mut worklist, &mut stats);
+        self.absorb_unit(Update::insert(from, to), &mut worklist, &mut stats);
         if !relevant {
             // Proposition 5.2: only cs/cc insertions can add matches. The
             // counters above still had to absorb the new edge.
@@ -784,7 +1088,7 @@ impl SimulationIndex {
         if !demotion_seeds.is_empty() {
             *stage = PipelineStage::Demote;
             fail::fire(fail::SIM_DEMOTE);
-            self.drain_demotions_sharded(graph, demotion_seeds, plan, &mut stats);
+            self.run_drain(graph, RoundKind::Demote, demotion_seeds, plan, &mut stats);
         }
         // ...phase 3 — then insertions.
         let run_cc = self.has_cycle && self.inserted_touches_scc(&reduction.relevant_insertions);
@@ -804,14 +1108,15 @@ impl SimulationIndex {
     /// invalidation.
     fn finish_apply(&mut self, stats: AffStats, was_match: bool) -> ApplyOutcome {
         let now_match = self.is_match();
-        let (masks, match_count, np, nv) = (&self.masks, &self.match_count, self.np, self.nv);
+        let (layout, masks, match_count, np) =
+            (&self.layout, &self.masks, &self.match_count, self.np);
         let (delta, cache_op): (MatchDelta, CacheOp) = finalize_delta(
             &mut self.tracker,
             was_match,
             now_match,
             np,
-            || raw_mask_pairs(masks, nv),
-            || rebuild_relation_from(masks, match_count, np, nv),
+            || raw_mask_pairs(layout, masks),
+            || rebuild_relation_from(layout, masks, match_count, np),
         );
         match cache_op {
             CacheOp::Keep => {}
@@ -878,13 +1183,9 @@ impl SimulationIndex {
         *stage = PipelineStage::Reduce;
         fail::fire(fail::SIM_REDUCE);
         let mut reduction = MinDeltaReduction::default();
+        let view = self.view();
         for update in batch.effective {
-            let (a, b) = update.endpoints();
-            let relevant = match update {
-                Update::DeleteEdge { .. } => is_ss_edge(&self.masks, &self.child_mask, a, b),
-                Update::InsertEdge { .. } => is_cs_or_cc_edge(&self.masks, &self.child_mask, a, b),
-            };
-            reduction.push(*update, relevant);
+            reduction.push(*update, classify(view, update));
         }
         stats.reduced_delta_g = reduction.relevant;
         if reduction.effective.is_empty() {
@@ -898,7 +1199,7 @@ impl SimulationIndex {
         if !demotion_seeds.is_empty() {
             *stage = PipelineStage::Demote;
             fail::fire(fail::SIM_DEMOTE);
-            self.drain_demotions_sharded(graph, demotion_seeds, plan, &mut stats);
+            self.run_drain(graph, RoundKind::Demote, demotion_seeds, plan, &mut stats);
         }
         let run_cc = self.has_cycle && self.inserted_touches_scc(&reduction.relevant_insertions);
         if !promotion_seeds.is_empty() || run_cc {
@@ -943,21 +1244,13 @@ impl SimulationIndex {
         batch: &BatchUpdate,
         plan: ShardPlan,
     ) -> MinDeltaReduction {
-        let child_mask = &self.child_mask;
-        let classify = move |masks: &[NodeMasks], update: &Update| {
-            let (a, b) = update.endpoints();
-            match update {
-                Update::DeleteEdge { .. } => is_ss_edge(masks, child_mask, a, b),
-                Update::InsertEdge { .. } => is_cs_or_cc_edge(masks, child_mask, a, b),
-            }
-        };
+        let view = self.view();
         // Inline fast path: one shard, or too little work to pay for spawns.
         if plan.count == 1 || batch.len() < PARALLEL_WORK_THRESHOLD {
             let (effective, _) = reduce_batch(graph, batch);
             let mut reduction = MinDeltaReduction::default();
             for update in effective {
-                let relevant = classify(&self.masks, &update);
-                reduction.push(update, relevant);
+                reduction.push(update, classify(view, &update));
             }
             return reduction;
         }
@@ -966,7 +1259,6 @@ impl SimulationIndex {
         for (pos, &update) in batch.iter().enumerate() {
             per_shard[plan.owner(update.endpoints().0.index())].push((pos as u32, update));
         }
-        let masks = &self.masks;
         let mut merged: Vec<(u32, Update, bool)> = std::thread::scope(|scope| {
             let handles: Vec<_> = per_shard
                 .into_iter()
@@ -974,7 +1266,7 @@ impl SimulationIndex {
                     scope.spawn(move || {
                         net_effective_updates(graph, &slice)
                             .into_iter()
-                            .map(|(pos, update)| (pos, update, classify(masks, &update)))
+                            .map(|(pos, update)| (pos, update, classify(view, &update)))
                             .collect::<Vec<_>>()
                     })
                 })
@@ -991,22 +1283,6 @@ impl SimulationIndex {
         reduction
     }
 
-    // ------------------------------------------------------------------
-    // Edge classification (Table II) — word ops over the membership masks
-    // ------------------------------------------------------------------
-
-    /// True if `(from, to)` is an ss edge for some pattern edge: both
-    /// endpoints currently match the edge's endpoints.
-    fn is_ss_edge(&self, from: NodeId, to: NodeId) -> bool {
-        is_ss_edge(&self.masks, &self.child_mask, from, to)
-    }
-
-    /// True if `(from, to)` is a cs or cc edge for some pattern edge: the
-    /// source is a candidate and the target is a candidate or a match.
-    fn is_cs_or_cc_edge(&self, from: NodeId, to: NodeId) -> bool {
-        is_cs_or_cc_edge(&self.masks, &self.child_mask, from, to)
-    }
-
     /// True if some inserted edge can affect the joint SCC evaluation, so
     /// `propCC` must run (Proposition 5.2(3), broadened): either the edge is
     /// a cc edge *inside* a nontrivial SCC (it adds tentative support), or it
@@ -1015,19 +1291,11 @@ impl SimulationIndex {
     /// fixpoint even when the pattern edge itself leaves the SCC (the
     /// candidate's last missing witness need not be the cyclic one).
     fn inserted_touches_scc(&self, inserted: &[(NodeId, NodeId)]) -> bool {
+        let view = self.view();
         inserted.iter().any(|&(a, b)| {
-            let am = self.masks[a.index()];
-            let bm = self.masks[b.index()];
-            let known_b = bm.matched | bm.candt;
-            let mut bits = (am.matched | am.candt) & self.scc_member_mask;
-            while bits != 0 {
-                let u = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                if self.child_mask[u] & known_b != 0 {
-                    return true;
-                }
-            }
-            false
+            let known_b = view.masks_of(b.index()).cand();
+            let bits = view.masks_of(a.index()).cand() & self.scc_member_mask;
+            Bits(bits).any(|u| self.child_mask[u] & known_b != 0)
         })
     }
 
@@ -1035,66 +1303,22 @@ impl SimulationIndex {
     // Counter maintenance
     // ------------------------------------------------------------------
 
-    /// Does `v` (as a match or candidate of `u`) have, for every pattern edge
-    /// `(u, u2)`, a supporting counter? One counter read per pattern child —
-    /// no adjacency scan.
+    /// Does slot `s` (as a match or candidate of `u`) have, for every pattern
+    /// edge `(u, u2)`, a supporting counter? One counter read per pattern
+    /// child — no adjacency scan.
     #[inline]
-    fn has_counter_support(&self, u: usize, v: usize) -> bool {
-        row_has_support(&self.cnt[v * self.np..(v + 1) * self.np], self.child_mask[u])
+    fn has_counter_support(&self, u: usize, s: usize) -> bool {
+        let need = self.layout.need(s);
+        row_has_support(&self.cnt[self.layout.row(s)], need, self.child_mask[u])
     }
 
-    /// Absorbs the removal of graph edge `(a, b)`: for every pattern node `u2`
-    /// matched by `b`, the counter `cnt[a][u2]` drops; when it reaches zero,
-    /// every match `(u, a)` with pattern edge `(u, u2)` loses its support and
-    /// is seeded for demotion.
-    fn counters_on_removed_edge(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        worklist: &mut Vec<(u32, u32)>,
-        stats: &mut AffStats,
-    ) {
-        absorb_removed_edge(
-            &self.masks,
-            &self.parent_masks,
-            self.np,
-            0,
-            &mut self.cnt,
-            a,
-            b,
-            worklist,
-            stats,
-        );
-    }
-
-    /// Absorbs the insertion of graph edge `(a, b)`: counters rise for every
-    /// pattern node matched by `b`; a `0 → 1` transition may enable the
-    /// *candidate* `a` for pattern parents of `u2`, which is exactly the
-    /// `propCS` seeding of `IncMatch+`.
-    fn counters_on_inserted_edge(
-        &mut self,
-        a: NodeId,
-        b: NodeId,
-        worklist: &mut Vec<(u32, u32)>,
-        stats: &mut AffStats,
-    ) {
-        absorb_inserted_edge(
-            &self.masks,
-            &self.parent_masks,
-            self.np,
-            0,
-            &mut self.cnt,
-            a,
-            b,
-            worklist,
-            stats,
-        );
-    }
-
-    /// Bitmask of the pattern parents of `u2` (precomputed at build).
-    #[inline]
-    fn parent_mask(&self, u2: usize) -> u64 {
-        self.parent_masks[u2]
+    /// Absorbs one unit update into the counter row of its source — see
+    /// [`absorb_edge`] for the demotion (removal) and `propCS` (insertion)
+    /// seeding it performs.
+    fn absorb_unit(&mut self, update: Update, worklist: &mut Vec<Seed>, stats: &mut AffStats) {
+        let view =
+            SlotView { layout: &self.layout, masks: &self.masks, child_mask: &self.child_mask };
+        absorb_edge(view, &self.parent_masks, &mut self.cnt, 0, &update, worklist, stats);
     }
 
     // ------------------------------------------------------------------
@@ -1115,30 +1339,28 @@ impl SimulationIndex {
             let (u, v) = (u as usize, v as usize);
             stats.nodes_visited += 1;
             let bit = 1u64 << u;
-            if self.masks[v].matched & bit == 0 {
-                continue;
-            }
-            if self.has_counter_support(u, v) {
+            let Some(s) = self.layout.slot(v) else { continue };
+            if self.masks[s].matched & bit == 0 || self.has_counter_support(u, s) {
                 continue;
             }
             // v no longer matches u: demote it to a candidate.
-            self.masks[v].matched &= !bit;
-            self.masks[v].candt |= bit;
+            self.masks[s].matched &= !bit;
+            self.masks[s].candt |= bit;
             self.match_count[u] -= 1;
             self.tracker.record_removed(u, v as u32);
             stats.matches_removed += 1;
             stats.aux_changes += 1;
-            let pmask = self.parent_mask(u);
+            let pmask = self.parent_masks[u];
             for &p in graph.parents(NodeId::from_index(v)) {
-                let counter = &mut self.cnt[p.index() * self.np + u];
+                let Some((ps, pos)) = counter_at(self.view(), p.index(), u) else {
+                    continue;
+                };
+                let counter = &mut self.cnt[pos];
                 debug_assert!(*counter > 0, "counter underflow demoting (u{u}, n{v})");
                 *counter -= 1;
                 stats.counter_updates += 1;
                 if *counter == 0 {
-                    let mut bits = self.masks[p.index()].matched & pmask;
-                    while bits != 0 {
-                        let u_parent = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
+                    for u_parent in Bits(self.masks[ps].matched & pmask) {
                         worklist.push((u_parent as u32, p.0));
                     }
                 }
@@ -1179,33 +1401,34 @@ impl SimulationIndex {
         }
     }
 
-    /// Promotes a candidate pair `(u, v)`, updating the counters of `v`'s
-    /// graph parents; `0 → 1` transitions re-enqueue candidate parents.
+    /// Promotes a candidate pair `(u, v)` (`v` owning slot `s`), updating the
+    /// counters of `v`'s graph parents; `0 → 1` transitions re-enqueue
+    /// candidate parents.
     fn promote(
         &mut self,
         graph: &DataGraph,
         u: usize,
-        v: usize,
+        (s, v): (usize, usize),
         worklist: &mut Vec<(u32, u32)>,
         stats: &mut AffStats,
     ) {
         let bit = 1u64 << u;
-        self.masks[v].candt &= !bit;
-        self.masks[v].matched |= bit;
+        self.masks[s].candt &= !bit;
+        self.masks[s].matched |= bit;
         self.match_count[u] += 1;
         self.tracker.record_inserted(u, v as u32);
         stats.matches_added += 1;
         stats.aux_changes += 1;
-        let pmask = self.parent_mask(u);
+        let pmask = self.parent_masks[u];
         for &p in graph.parents(NodeId::from_index(v)) {
-            let counter = &mut self.cnt[p.index() * self.np + u];
+            let Some((ps, pos)) = counter_at(self.view(), p.index(), u) else {
+                continue;
+            };
+            let counter = &mut self.cnt[pos];
             *counter += 1;
             stats.counter_updates += 1;
             if *counter == 1 {
-                let mut bits = self.masks[p.index()].candt & pmask;
-                while bits != 0 {
-                    let u_parent = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
+                for u_parent in Bits(self.masks[ps].candt & pmask) {
                     worklist.push((u_parent as u32, p.0));
                 }
             }
@@ -1224,13 +1447,11 @@ impl SimulationIndex {
         while let Some((u, v)) = worklist.pop() {
             let (u, v) = (u as usize, v as usize);
             stats.nodes_visited += 1;
-            if self.masks[v].candt & (1 << u) == 0 {
+            let Some(s) = self.layout.slot(v) else { continue };
+            if self.masks[s].candt & (1 << u) == 0 || !self.has_counter_support(u, s) {
                 continue;
             }
-            if !self.has_counter_support(u, v) {
-                continue;
-            }
-            self.promote(graph, u, v, worklist, stats);
+            self.promote(graph, u, (s, v), worklist, stats);
             promoted_any = true;
         }
         promoted_any
@@ -1258,11 +1479,12 @@ impl SimulationIndex {
     /// against the live state, which reproduces the sequential engine's
     /// cross-SCC data flow exactly (Tarjan numbering sends pattern edges from
     /// later-enumerated SCCs to earlier ones, so this is the only direction
-    /// influence can travel). Within one SCC, the `O(|V|)` tentative gather,
-    /// the `tsup` derivation and the viability seed scan are chunked over
-    /// node ranges / candidate chunks — see [`evaluate_scc_joint`]. Matches,
-    /// counters and [`AffStats`] are bit-identical for every shard count;
-    /// `plan.count = 1` is the sequential engine.
+    /// influence can travel). Within one SCC, the tentative gather over the
+    /// candidate slots, the `tsup` derivation and the viability seed scan are
+    /// chunked over node ranges / candidate chunks — see
+    /// [`evaluate_scc_joint`]. Matches, counters and [`AffStats`] are
+    /// bit-identical for every shard count; `plan.count = 1` is the
+    /// sequential engine.
     ///
     /// Survivor promotions enqueue their candidate parents on `worklist` for
     /// the next `propCS` pass. Returns true if anything was promoted.
@@ -1313,11 +1535,10 @@ impl SimulationIndex {
             if verdict.survivors.is_empty() {
                 continue;
             }
-            for (v, mut bits) in verdict.survivors {
-                while bits != 0 {
-                    let u = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    self.promote(graph, u, v as usize, worklist, stats);
+            for (v, bits) in verdict.survivors {
+                let s = self.layout.slot(v as usize).expect("tentative pairs are candidates");
+                for u in Bits(bits) {
+                    self.promote(graph, u, (s, v as usize), worklist, stats);
                 }
             }
             promoted_any = true;
@@ -1331,11 +1552,9 @@ impl SimulationIndex {
     /// the index (whose lazy match cache is not `Sync`).
     fn scc_eval_ctx(&self) -> SccEvalContext<'_> {
         SccEvalContext {
-            np: self.np,
             nv: self.nv,
-            masks: &self.masks,
+            view: self.view(),
             cnt: &self.cnt,
-            child_mask: &self.child_mask,
             parent_masks: &self.parent_masks,
             scc_child_mask: &self.scc_child_mask,
         }
@@ -1354,80 +1573,48 @@ impl SimulationIndex {
         plan: ShardPlan,
         stats: &mut AffStats,
     ) -> (Vec<Seed>, Vec<Seed>) {
-        // Inline fast path: one shard, or too little work to pay for spawns.
-        // Processing all updates in batch order on the full slices is
-        // identical to the partitioned run — an update only touches its
-        // source's counter row, and updates sharing a source keep their
-        // relative order either way.
-        if plan.count == 1 || effective.len() < PARALLEL_WORK_THRESHOLD {
-            let mut demotion_seeds = Vec::new();
-            let mut promotion_seeds = Vec::new();
-            for update in effective {
-                let (a, b) = update.endpoints();
-                match update {
-                    Update::DeleteEdge { .. } => {
-                        self.counters_on_removed_edge(a, b, &mut demotion_seeds, stats)
-                    }
-                    Update::InsertEdge { .. } => {
-                        self.counters_on_inserted_edge(a, b, &mut promotion_seeds, stats)
-                    }
-                }
-            }
-            return (demotion_seeds, promotion_seeds);
-        }
-
-        let mut per_shard: Vec<Vec<Update>> = vec![Vec::new(); plan.count];
-        for update in effective {
-            per_shard[plan.owner(update.endpoints().0.index())].push(*update);
-        }
-        let np = self.np;
-        let masks = &self.masks;
+        let view =
+            SlotView { layout: &self.layout, masks: &self.masks, child_mask: &self.child_mask };
         let parent_masks = &self.parent_masks;
-        let results: Vec<(Vec<Seed>, Vec<Seed>, AffStats)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .cnt
-                .chunks_mut((plan.chunk * np).max(1))
-                .zip(per_shard)
-                .enumerate()
-                .map(|(shard, (cnt_chunk, updates))| {
-                    scope.spawn(move || {
-                        let base = shard * plan.chunk;
-                        let mut demo = Vec::new();
-                        let mut promo = Vec::new();
-                        let mut local = AffStats::default();
-                        for update in &updates {
-                            let (a, b) = update.endpoints();
-                            match update {
-                                Update::DeleteEdge { .. } => absorb_removed_edge(
-                                    masks,
-                                    parent_masks,
-                                    np,
-                                    base,
-                                    cnt_chunk,
-                                    a,
-                                    b,
-                                    &mut demo,
-                                    &mut local,
-                                ),
-                                Update::InsertEdge { .. } => absorb_inserted_edge(
-                                    masks,
-                                    parent_masks,
-                                    np,
-                                    base,
-                                    cnt_chunk,
-                                    a,
-                                    b,
-                                    &mut promo,
-                                    &mut local,
-                                ),
-                            }
-                        }
-                        (demo, promo, local)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("absorption shard panicked")).collect()
-        });
+        // Absorbs `updates` into the counter rows `cnt` (starting at counter
+        // position `base`).
+        let absorb = |updates: &[Update], cnt: &mut [u32], base: usize| {
+            let mut demo = Vec::new();
+            let mut promo = Vec::new();
+            let mut local = AffStats::default();
+            for update in updates {
+                let seeds = if update.is_insert() { &mut promo } else { &mut demo };
+                absorb_edge(view, parent_masks, cnt, base, update, seeds, &mut local);
+            }
+            (demo, promo, local)
+        };
+        // Inline fast path: one shard, or too little work to pay for spawns.
+        // Processing all updates in batch order on the full rows is identical
+        // to the partitioned run — an update only touches its source's
+        // counter row, and updates sharing a source keep their relative order
+        // either way.
+        let results: Vec<(Vec<Seed>, Vec<Seed>, AffStats)> = if plan.count == 1
+            || effective.len() < PARALLEL_WORK_THRESHOLD
+        {
+            vec![absorb(effective, &mut self.cnt, 0)]
+        } else {
+            let mut per_shard: Vec<Vec<Update>> = vec![Vec::new(); plan.count];
+            for update in effective {
+                per_shard[plan.owner(update.endpoints().0.index())].push(*update);
+            }
+            let absorb = &absorb;
+            std::thread::scope(|scope| {
+                let mut rest = self.cnt.as_mut_slice();
+                let mut handles = Vec::with_capacity(plan.count);
+                for (shard, updates) in per_shard.into_iter().enumerate() {
+                    let counters = view.layout.rows_of(&view.layout.slots_of(&plan.range(shard)));
+                    let (chunk, tail) = rest.split_at_mut(counters.len());
+                    rest = tail;
+                    handles.push(scope.spawn(move || absorb(&updates, chunk, counters.start)));
+                }
+                handles.into_iter().map(|h| h.join().expect("absorption shard panicked")).collect()
+            })
+        };
         let mut demotion_seeds = Vec::new();
         let mut promotion_seeds = Vec::new();
         for (demo, promo, local) in results {
@@ -1438,46 +1625,32 @@ impl SimulationIndex {
         (demotion_seeds, promotion_seeds)
     }
 
-    /// Phase 2 of the batch engine: the demotion drain as synchronous sharded
-    /// rounds (the bulk-synchronous counterpart of
-    /// [`SimulationIndex::drain_demotions`]).
-    fn drain_demotions_sharded(
+    /// One bulk-synchronous drain phase over the shard views of the slot
+    /// state — the demotion drain (phase 2 of the batch engine, and the
+    /// build's refinement) or one `propCS` pass of the promotion phase:
+    /// distributes `seeds` to their owners, runs rounds until quiescent and
+    /// folds every shard back. Returns true if anything was promoted.
+    fn run_drain(
         &mut self,
         graph: &DataGraph,
+        kind: RoundKind,
         seeds: Vec<Seed>,
         plan: ShardPlan,
         stats: &mut AffStats,
-    ) {
-        let np = self.np;
-        let parent_masks = &self.parent_masks;
-        let child_mask = &self.child_mask;
-        let mut states = shard_states(&mut self.masks, &mut self.cnt, np, plan);
+    ) -> bool {
+        let ctx = DrainCtx {
+            graph,
+            layout: &self.layout,
+            child_mask: &self.child_mask,
+            parent_masks: &self.parent_masks,
+            np: self.np,
+            plan,
+        };
+        let mut states = shard_states(&mut self.masks, &mut self.cnt, ctx);
         for seed in seeds {
             states[plan.owner(seed.1 as usize)].worklist.push(seed);
         }
-        drive_rounds(&mut states, RoundKind::Demote, graph, np, parent_masks, child_mask, plan);
-        for st in states {
-            merge_shard(st, &mut self.match_count, stats, &mut self.tracker);
-        }
-    }
-
-    /// Runs the sharded `propCS` rounds of the promotion phase until
-    /// quiescent, consuming `seeds`. Returns true if anything was promoted.
-    fn promote_sharded(
-        &mut self,
-        graph: &DataGraph,
-        seeds: &mut Vec<Seed>,
-        plan: ShardPlan,
-        stats: &mut AffStats,
-    ) -> bool {
-        let np = self.np;
-        let parent_masks = &self.parent_masks;
-        let child_mask = &self.child_mask;
-        let mut states = shard_states(&mut self.masks, &mut self.cnt, np, plan);
-        for seed in seeds.drain(..) {
-            states[plan.owner(seed.1 as usize)].worklist.push(seed);
-        }
-        drive_rounds(&mut states, RoundKind::Promote, graph, np, parent_masks, child_mask, plan);
+        drive_rounds(&mut states, kind, ctx);
         let mut promoted = false;
         for st in states {
             promoted |= merge_shard(st, &mut self.match_count, stats, &mut self.tracker);
@@ -1501,7 +1674,8 @@ impl SimulationIndex {
     ) {
         let mut worklist = seeds;
         loop {
-            let promoted_cs = self.promote_sharded(graph, &mut worklist, plan, stats);
+            let seeds = std::mem::take(&mut worklist);
+            let promoted_cs = self.run_drain(graph, RoundKind::Promote, seeds, plan, stats);
             if promoted_cs {
                 run_cc = self.has_cycle;
             }
@@ -1523,36 +1697,45 @@ impl SimulationIndex {
     // Node growth
     // ------------------------------------------------------------------
 
-    /// Extends the per-node arrays when the graph gained nodes since the index
-    /// was built. New nodes are isolated at this point (edges to them arrive
-    /// through [`SimulationIndex::insert_edge`] / batches), so a new node
-    /// matches a pattern node iff it satisfies the predicate of a *childless*
-    /// pattern node; otherwise it starts as a candidate.
+    /// Extends the slot state when the graph gained nodes since the index
+    /// was last applied. A new node that satisfies some pattern node's
+    /// predicate gets the next slot (node ids only grow, so slots stay in
+    /// ascending node order) and a zeroed counter row; the batch that brings
+    /// its edges absorbs them like any other. It matches a pattern node iff
+    /// it satisfies the predicate of a *childless* pattern node; otherwise it
+    /// starts as a candidate. Every other new node costs its bit in the slot
+    /// bitvector.
     fn ensure_node_capacity(&mut self, graph: &DataGraph) {
         let new_nv = graph.node_count();
         if new_nv <= self.nv {
             return;
         }
-        self.masks.resize(new_nv, NodeMasks::default());
-        self.cnt.resize(new_nv * self.np, 0);
         for v in self.nv..new_nv {
-            let node = NodeId::from_index(v);
+            let attrs = graph.attrs(NodeId::from_index(v));
+            let mut m = NodeMasks::default();
             for u in self.pattern.nodes() {
-                if !self.pattern.predicate(u).satisfied_by(graph.attrs(node)) {
+                if !self.pattern.predicate(u).satisfied_by(attrs) {
                     continue;
                 }
                 if self.child_mask[u.index()] == 0 {
                     // A childless-pattern match is a view-level insertion the
                     // tracker must see (it is vacuously supported, so no later
                     // stage of this batch can demote it again).
-                    self.masks[v].matched |= 1 << u.index();
+                    m.matched |= 1 << u.index();
                     self.match_count[u.index()] += 1;
                     self.tracker.record_inserted(u.index(), v as u32);
                 } else {
-                    self.masks[v].candt |= 1 << u.index();
+                    m.candt |= 1 << u.index();
                 }
             }
+            if m.cand() == 0 {
+                self.layout.push_node(v, None);
+            } else {
+                self.layout.push_node(v, Some(row_mask(&self.child_mask, m)));
+                self.masks.push(m);
+            }
         }
+        self.cnt.resize(self.layout.counters(), 0);
         self.nv = new_nv;
     }
 
@@ -1564,18 +1747,22 @@ impl SimulationIndex {
     /// consistency oracle for the incremental maintenance).
     #[cfg(test)]
     fn assert_counters_consistent(&self, graph: &DataGraph) {
-        for v in 0..self.nv {
-            for u2 in 0..self.np {
+        let view = self.view();
+        for (s, v) in self.layout.nodes().enumerate() {
+            let need = view.layout.need(s);
+            let row = &self.cnt[self.layout.row(s)];
+            assert_eq!(row.len(), need.count_ones() as usize, "row length at n{v}");
+            for u2 in Bits(need) {
                 let expected = graph
                     .children(NodeId::from_index(v))
                     .iter()
-                    .filter(|w| self.masks[w.index()].matched & (1 << u2) != 0)
+                    .filter(|w| view.masks_of(w.index()).matched & (1 << u2) != 0)
                     .count() as u32;
-                assert_eq!(self.cnt[v * self.np + u2], expected, "counter drift at (n{v}, u{u2})");
+                assert_eq!(row[row_offset(need, u2)], expected, "counter drift at (n{v}, u{u2})");
             }
         }
         for u in 0..self.np {
-            let count = (0..self.nv).filter(|&v| self.masks[v].matched & (1 << u) != 0).count();
+            let count = self.masks.iter().filter(|m| m.matched & (1 << u) != 0).count();
             assert_eq!(self.match_count[u], count, "match_count drift at u{u}");
         }
     }
@@ -1585,18 +1772,30 @@ impl SimulationIndex {
 // Sharded batch machinery
 // ----------------------------------------------------------------------
 //
-// The batch phases operate on per-shard views of the per-node arrays:
-// contiguous node ranges (see `igpm_graph::shard` for why contiguous
-// beats `v % shards`) obtained with `split_at_mut`, so worker threads hold
-// disjoint `&mut` slices and the whole engine stays free of `unsafe`,
-// atomics and locks. Counter deltas addressed to another shard's nodes
-// travel through per-destination outboxes merged between rounds; every
-// in-round decision depends only on state frozen at the round boundary, so
-// match sets, counters and stats are independent of the shard count and of
-// thread scheduling.
+// The batch phases operate on per-shard views of the slot state: the slots
+// of contiguous node ranges (see `igpm_graph::shard` for why contiguous
+// beats `v % shards`) are themselves contiguous, as are their counter rows,
+// so `split_at_mut` hands worker threads disjoint `&mut` slices and the
+// whole engine stays free of `unsafe`, atomics and locks. Counter deltas
+// addressed to another shard's nodes travel through per-destination
+// outboxes merged between rounds; every in-round decision depends only on
+// state frozen at the round boundary, so match sets, counters and stats are
+// independent of the shard count and of thread scheduling.
 
 /// Demotion/promotion seed: `(pattern node, data node)`.
 type Seed = (u32, u32);
+
+/// Rejects the patterns the engine cannot index: non-normal ones and those
+/// wider than the membership masks.
+fn check_buildable(pattern: &Pattern) -> Result<(), BuildError> {
+    if !pattern.is_normal() {
+        return Err(BuildError::NotNormal);
+    }
+    if pattern.node_count() > MAX_PATTERN_NODES {
+        return Err(BuildError::ArityTooLarge { arity: pattern.node_count() });
+    }
+    Ok(())
+}
 
 /// Output of the `minDelta` reduction: the net-effective updates in
 /// first-touch order, how many of them are pattern-relevant (ss deletions or
@@ -1622,175 +1821,117 @@ impl MinDeltaReduction {
     }
 }
 
+/// Table II relevance of one update against the frozen masks: an ss edge for
+/// a deletion, a cs/cc edge for an insertion.
+fn classify(view: SlotView<'_>, update: &Update) -> bool {
+    let (a, b) = update.endpoints();
+    match update {
+        Update::DeleteEdge { .. } => is_ss_edge(view, a, b),
+        Update::InsertEdge { .. } => is_cs_or_cc_edge(view, a, b),
+    }
+}
+
 /// True if `(from, to)` is an ss edge for some pattern edge: both endpoints
 /// currently match the edge's endpoints (Table II). Free function so the
 /// sharded `minDelta` pass can classify on worker threads without capturing
 /// the index (whose lazy match cache is not `Sync`).
-fn is_ss_edge(masks: &[NodeMasks], child_mask: &[u64], from: NodeId, to: NodeId) -> bool {
-    let (Some(fm), Some(tm)) = (masks.get(from.index()), masks.get(to.index())) else {
-        return false;
-    };
-    let tbits = tm.matched;
-    let mut bits = fm.matched;
-    while bits != 0 {
-        let u = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        if child_mask[u] & tbits != 0 {
-            return true;
-        }
-    }
-    false
+fn is_ss_edge(view: SlotView<'_>, from: NodeId, to: NodeId) -> bool {
+    let target = view.masks_of(to.index()).matched;
+    Bits(view.masks_of(from.index()).matched).any(|u| view.child_mask[u] & target != 0)
 }
 
 /// True if `(from, to)` is a cs or cc edge for some pattern edge: the source
 /// is a candidate and the target is a candidate or a match (Table II).
-fn is_cs_or_cc_edge(masks: &[NodeMasks], child_mask: &[u64], from: NodeId, to: NodeId) -> bool {
-    let (Some(fm), Some(target)) = (masks.get(from.index()), masks.get(to.index())) else {
-        return false;
-    };
-    let target_bits = target.matched | target.candt;
-    let mut bits = fm.candt;
-    while bits != 0 {
-        let u = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        if child_mask[u] & target_bits != 0 {
-            return true;
-        }
-    }
-    false
+fn is_cs_or_cc_edge(view: SlotView<'_>, from: NodeId, to: NodeId) -> bool {
+    let target = view.masks_of(to.index()).cand();
+    Bits(view.masks_of(from.index()).candt).any(|u| view.child_mask[u] & target != 0)
+}
+
+/// The slot of `p` and the position of its support counter for `u2` in
+/// `cnt`, if `p` keeps one — only a candidate of a pattern parent of `u2`
+/// does.
+#[inline]
+fn counter_at(view: SlotView<'_>, p: usize, u2: usize) -> Option<(usize, usize)> {
+    let s = view.layout.slot(p)?;
+    let need = view.layout.need(s);
+    (need & (1u64 << u2) != 0).then(|| (s, view.layout.rows[s] as usize + row_offset(need, u2)))
 }
 
 /// A pending counter delta: `(data node, pattern node)`. Whether it is a
 /// decrement or an increment is fixed by the phase ([`RoundKind`]).
 type CounterMsg = (u32, u32);
 
-/// Absorbs the removal of graph edge `(a, b)` into the counter rows `cnt`
-/// (which start at node id `row_base`): for every pattern node `u2` matched
-/// by `b`, `cnt[a][u2]` drops; on reaching zero, every match `(u, a)` with
-/// pattern edge `(u, u2)` loses its support and is seeded for demotion.
-#[allow(clippy::too_many_arguments)]
-fn absorb_removed_edge(
-    masks: &[NodeMasks],
+/// Absorbs one effective edge change `(a, b)` into the counter row of its
+/// source `a` (`cnt` holds the rows from counter position `base` on). For a
+/// removal, `cnt[a][u2]` drops for every pattern node `u2` matched by `b`,
+/// and on reaching zero every match `(u, a)` with pattern edge `(u, u2)`
+/// loses its support and is seeded for demotion. For an insertion the
+/// counters rise, and a `0 → 1` transition may enable the *candidate* `a`
+/// for pattern parents of `u2` — the `propCS` seeding of `IncMatch+`. Only
+/// the counters `a` keeps move: a pattern node `u2` outside its row has no
+/// parent among `a`'s candidacies, so nothing reads that pair.
+fn absorb_edge(
+    view: SlotView<'_>,
     parent_masks: &[u64],
-    np: usize,
-    row_base: usize,
     cnt: &mut [u32],
-    a: NodeId,
-    b: NodeId,
+    base: usize,
+    update: &Update,
     worklist: &mut Vec<Seed>,
     stats: &mut AffStats,
 ) {
-    let base = (a.index() - row_base) * np;
-    let mut bits = masks[b.index()].matched;
-    while bits != 0 {
-        let u2 = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let counter = &mut cnt[base + u2];
-        debug_assert!(*counter > 0, "counter underflow for ({a}, u{u2})");
-        *counter -= 1;
+    let (a, b) = update.endpoints();
+    let Some(sa) = view.layout.slot(a.index()) else { return };
+    let am = view.masks[sa];
+    let need = view.layout.need(sa);
+    let row = view.layout.rows[sa] as usize - base;
+    let kind = if update.is_insert() { RoundKind::Promote } else { RoundKind::Demote };
+    for u2 in Bits(view.masks_of(b.index()).matched & need) {
+        let counter = &mut cnt[row + row_offset(need, u2)];
         stats.counter_updates += 1;
-        if *counter == 0 {
-            let mut pbits = masks[a.index()].matched & parent_masks[u2];
-            while pbits != 0 {
-                let u = pbits.trailing_zeros() as usize;
-                pbits &= pbits - 1;
+        if kind.step(counter) {
+            for u in Bits(kind.members(am) & parent_masks[u2]) {
                 worklist.push((u as u32, a.0));
             }
         }
     }
 }
 
-/// Absorbs the insertion of graph edge `(a, b)` into the counter rows `cnt`:
-/// counters rise for every pattern node matched by `b`; a `0 → 1` transition
-/// may enable the *candidate* `a` for pattern parents of `u2` — the `propCS`
-/// seeding of `IncMatch+`.
-#[allow(clippy::too_many_arguments)]
-fn absorb_inserted_edge(
-    masks: &[NodeMasks],
-    parent_masks: &[u64],
-    np: usize,
-    row_base: usize,
-    cnt: &mut [u32],
-    a: NodeId,
-    b: NodeId,
-    worklist: &mut Vec<Seed>,
-    stats: &mut AffStats,
-) {
-    let base = (a.index() - row_base) * np;
-    let mut bits = masks[b.index()].matched;
-    while bits != 0 {
-        let u2 = bits.trailing_zeros() as usize;
-        bits &= bits - 1;
-        let counter = &mut cnt[base + u2];
-        *counter += 1;
-        stats.counter_updates += 1;
-        if *counter == 1 {
-            let mut pbits = masks[a.index()].candt & parent_masks[u2];
-            while pbits != 0 {
-                let u = pbits.trailing_zeros() as usize;
-                pbits &= pbits - 1;
-                worklist.push((u as u32, a.0));
-            }
-        }
-    }
-}
-
-/// Build phase 1 on one shard: seed the `matched` bits of the owned node
-/// range (`masks` starts at node id `base`) from the sorted candidate lists.
-/// Each shard binary-searches its range in every list, so the work is
-/// `O(|candidates in range| + np · log |candidates|)`.
-fn seed_masks_shard(masks: &mut [NodeMasks], base: usize, cand_lists: &[&[NodeId]]) {
-    let end = base + masks.len();
-    for (u, list) in cand_lists.iter().enumerate() {
-        // The range search (and the bit-identity of fanned-out builds with
-        // sequential ones) relies on candidate lists being in ascending node
-        // order, which the label-index buckets and predicate scans of
-        // `candidates()` produce.
-        debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "candidate list not id-sorted");
-        let bit = 1u64 << u;
-        let start = list.partition_point(|v| v.index() < base);
-        for &v in &list[start..] {
-            if v.index() >= end {
-                break;
-            }
-            masks[v.index() - base].matched |= bit;
-        }
-    }
-}
-
-/// Build phase 2 on one shard: derive the support counters of the owned node
-/// `range` (whose rows are `cnt`) from each owned node's children —
+/// Build phase on one shard: derive the support counters of the slots in the
+/// owned node range (whose rows are `cnt`) from each owned node's children —
 /// `cnt[v][u2] = |children(v) ∩ match(u2)|`, the same numbers as a
 /// reverse-adjacency pass but touching only owned rows — then scan the owned
 /// matches for pairs without full counter support. Returns those demotion
 /// seeds in ascending node order.
 fn derive_counters_shard(
-    masks: &[NodeMasks],
-    child_mask: &[u64],
-    np: usize,
-    range: std::ops::Range<usize>,
+    view: SlotView<'_>,
+    nodes: Range<usize>,
     cnt: &mut [u32],
     graph: &DataGraph,
 ) -> Vec<Seed> {
-    for (local, v) in range.clone().enumerate() {
-        let row = &mut cnt[local * np..local * np + np];
+    let slots = view.layout.slots_of(&nodes);
+    let base = view.layout.rows[slots.start] as usize;
+    let local = |s: usize| {
+        let row = view.layout.row(s);
+        row.start - base..row.end - base
+    };
+    for (s, v) in slots.clone().zip(view.layout.nodes_in(nodes.clone())) {
+        let need = view.layout.need(s);
+        if need == 0 {
+            continue;
+        }
+        let row = &mut cnt[local(s)];
         for &w in graph.children(NodeId::from_index(v)) {
-            let mut bits = masks[w.index()].matched;
-            while bits != 0 {
-                let u2 = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                row[u2] += 1;
+            for u2 in Bits(view.masks_of(w.index()).matched & need) {
+                row[row_offset(need, u2)] += 1;
             }
         }
     }
     let mut seeds = Vec::new();
-    for (local, v) in range.enumerate() {
-        let row = &cnt[local * np..local * np + np];
-        let mut bits = masks[v].matched;
-        while bits != 0 {
-            let u = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if !row_has_support(row, child_mask[u]) {
+    for (s, v) in slots.zip(view.layout.nodes_in(nodes)) {
+        let need = view.layout.need(s);
+        let row = &cnt[local(s)];
+        for u in Bits(view.masks[s].matched) {
+            if !row_has_support(row, need, view.child_mask[u]) {
                 seeds.push((u as u32, v as u32));
             }
         }
@@ -1803,13 +1944,21 @@ fn derive_counters_shard(
 /// capturing the index itself (whose lazy match cache is not `Sync`).
 #[derive(Clone, Copy)]
 struct SccEvalContext<'a> {
-    np: usize,
     nv: usize,
-    masks: &'a [NodeMasks],
+    view: SlotView<'a>,
     cnt: &'a [u32],
-    child_mask: &'a [u64],
     parent_masks: &'a [u64],
     scc_child_mask: &'a [u64],
+}
+
+impl SccEvalContext<'_> {
+    /// The support counter `(v, u2)`, or 0 when `v` keeps none — a node that
+    /// is no candidate of any pattern parent of `u2`, so no tentative
+    /// assumption on it can rest on `u2`.
+    #[inline]
+    fn counter(&self, v: usize, u2: usize) -> u32 {
+        counter_at(self.view, v, u2).map_or(0, |(_, pos)| self.cnt[pos])
+    }
 }
 
 /// Outcome of one SCC's joint evaluation: the surviving tentative assumptions
@@ -1832,9 +1981,8 @@ struct SccVerdict {
 /// threads, each with a deterministic ordered merge, so the verdict is
 /// identical for every chunking:
 ///
-/// * the **tentative gather** — the `O(|V|)` candidate scan the ROADMAP names
-///   as the phase's sequential bottleneck — partitions the node range on
-///   `plan` and concatenates in range order;
+/// * the **tentative gather** — a scan of every candidate slot — partitions
+///   the node range on `plan` and concatenates in range order;
 /// * the **`tsup` derivation** chunks the gathered candidates; a source `v`'s
 ///   counters are written only by `v`'s chunk, so the merged map is a
 ///   disjoint union;
@@ -1857,30 +2005,28 @@ fn evaluate_scc_joint(
     // tentative[v] = pattern nodes of this SCC that v is still assumed to
     // match (matches are kept implicitly: they can never be invalidated by
     // insertions). Sparse: only candidate nodes appear, in ascending order.
-    let masks = ctx.masks;
-    let gathered: Vec<(u32, u64)> = if fan_out
-        && plan.count > 1
-        && ctx.nv >= PARALLEL_WORK_THRESHOLD
+    let view = ctx.view;
+    let gathered: Vec<Tentative> = if fan_out && plan.count > 1 && ctx.nv >= PARALLEL_WORK_THRESHOLD
     {
         std::thread::scope(|scope| {
             let handles: Vec<_> = (0..plan.count)
                 .map(|shard| {
                     let range = plan.range(shard);
-                    scope.spawn(move || gather_tentative(masks, comp_mask, range))
+                    scope.spawn(move || gather_tentative(view, comp_mask, range))
                 })
                 .collect();
             // Range order concatenation = ascending node order.
             handles.into_iter().flat_map(|h| h.join().expect("propCC gather panicked")).collect()
         })
     } else {
-        gather_tentative(masks, comp_mask, 0..ctx.nv)
+        gather_tentative(view, comp_mask, 0..ctx.nv)
     };
     if gathered.is_empty() {
         return SccVerdict { survivors: Vec::new(), stats };
     }
     let mut tentative: FastHashMap<u32, u64> = FastHashMap::default();
-    for &(v, bits) in &gathered {
-        tentative.insert(v, bits);
+    for g in &gathered {
+        tentative.insert(g.v, g.bits);
     }
 
     // tsup[(v, u2)] = |children(v) ∩ tentative(u2)| for u2 in the SCC, and
@@ -1928,8 +2074,7 @@ fn evaluate_scc_joint(
     };
     // One visit per tentative pair scanned for viability; the scan itself is
     // embarrassingly parallel, so count it from the gathered bits.
-    stats.nodes_visited +=
-        gathered.iter().map(|&(_, bits)| bits.count_ones() as usize).sum::<usize>();
+    stats.nodes_visited += gathered.iter().map(|g| g.bits.count_ones() as usize).sum::<usize>();
 
     // Eliminate with cascade: dropping the assumption (u, v) costs its
     // tentative parents one unit of support for u. Confluent — the stats
@@ -1951,15 +2096,12 @@ fn evaluate_scc_joint(
             debug_assert!(*counter > 0, "tentative support underflow");
             *counter -= 1;
             stats.counter_updates += 1;
-            if *counter == 0 && ctx.cnt[p.index() * ctx.np + u as usize] == 0 {
+            if *counter == 0 && ctx.counter(p.index(), u as usize) == 0 {
                 // Every tentative assumption on p that relied on the pattern
                 // edge (u_par, u) may now be dead.
                 if let Some(&pbits) = tentative.get(&p.0) {
-                    let mut b = pbits & pmask;
-                    while b != 0 {
-                        let u_par = b.trailing_zeros();
-                        b &= b - 1;
-                        eliminate.push((u_par, p.0));
+                    for u_par in Bits(pbits & pmask) {
+                        eliminate.push((u_par as u32, p.0));
                     }
                 }
             }
@@ -1971,21 +2113,26 @@ fn evaluate_scc_joint(
     SccVerdict { survivors, stats }
 }
 
-/// Collects the tentative candidates of one node range: `(v, candt ∩ SCC)`
-/// for every node whose candidate bits intersect the component, ascending.
-fn gather_tentative(
-    masks: &[NodeMasks],
-    comp_mask: u64,
-    range: std::ops::Range<usize>,
-) -> Vec<(u32, u64)> {
-    let mut out = Vec::new();
-    for v in range {
-        let bits = masks[v].candt & comp_mask;
-        if bits != 0 {
-            out.push((v as u32, bits));
-        }
-    }
-    out
+/// One gathered tentative candidate: its node, its slot and the SCC
+/// pattern nodes it is assumed to match.
+#[derive(Clone, Copy)]
+struct Tentative {
+    v: u32,
+    slot: u32,
+    bits: u64,
+}
+
+/// Collects the tentative candidates of one node range: every slot whose
+/// candidate bits intersect the component, ascending.
+fn gather_tentative(view: SlotView<'_>, comp_mask: u64, nodes: Range<usize>) -> Vec<Tentative> {
+    let slots = view.layout.slots_of(&nodes);
+    slots
+        .zip(view.layout.nodes_in(nodes))
+        .filter_map(|(slot, v)| {
+            let bits = view.masks[slot].candt & comp_mask;
+            (bits != 0).then_some(Tentative { v: v as u32, slot: slot as u32, bits })
+        })
+        .collect()
 }
 
 /// One chunk's tentative-support counters plus the number of increments
@@ -1997,18 +2144,15 @@ type TsupChunk = (FastHashMap<(u32, u32), u32>, usize);
 fn derive_tsup_chunk(
     graph: &DataGraph,
     tentative: &FastHashMap<u32, u64>,
-    chunk: &[(u32, u64)],
+    chunk: &[Tentative],
 ) -> TsupChunk {
     let mut tsup: FastHashMap<(u32, u32), u32> = FastHashMap::default();
     let mut updates = 0usize;
-    for &(v, _) in chunk {
+    for &Tentative { v, .. } in chunk {
         for &w in graph.children(NodeId(v)) {
             let Some(&wbits) = tentative.get(&w.0) else { continue };
-            let mut bits = wbits;
-            while bits != 0 {
-                let u2 = bits.trailing_zeros();
-                bits &= bits - 1;
-                *tsup.entry((v, u2)).or_insert(0) += 1;
+            for u2 in Bits(wbits) {
+                *tsup.entry((v, u2 as u32)).or_insert(0) += 1;
                 updates += 1;
             }
         }
@@ -2023,31 +2167,22 @@ fn derive_tsup_chunk(
 fn seed_eliminations_chunk(
     ctx: SccEvalContext<'_>,
     tsup: &FastHashMap<(u32, u32), u32>,
-    chunk: &[(u32, u64)],
+    chunk: &[Tentative],
 ) -> Vec<(u32, u32)> {
-    let viable = |u: usize, v: u32| {
-        let base = v as usize * ctx.np;
-        let mut bits = ctx.child_mask[u];
-        while bits != 0 {
-            let u2 = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
-            if ctx.cnt[base + u2] > 0 {
-                continue;
-            }
-            let in_scc = ctx.scc_child_mask[u] & (1 << u2) != 0;
-            if !in_scc || tsup.get(&(v, u2 as u32)).copied().unwrap_or(0) == 0 {
-                return false;
-            }
-        }
-        true
-    };
     let mut eliminate = Vec::new();
-    for &(v, bits) in chunk {
-        let mut b = bits;
-        while b != 0 {
-            let u = b.trailing_zeros() as usize;
-            b &= b - 1;
-            if !viable(u, v) {
+    for &Tentative { v, slot, bits } in chunk {
+        let s = slot as usize;
+        let need = ctx.view.layout.need(s);
+        let row = &ctx.cnt[ctx.view.layout.row(s)];
+        let viable = |u: usize| {
+            Bits(ctx.view.child_mask[u]).all(|u2| {
+                row[row_offset(need, u2)] > 0
+                    || (ctx.scc_child_mask[u] & (1 << u2) != 0
+                        && tsup.get(&(v, u2 as u32)).is_some_and(|&t| t > 0))
+            })
+        };
+        for u in Bits(bits) {
+            if !viable(u) {
                 eliminate.push((u as u32, v));
             }
         }
@@ -2066,13 +2201,54 @@ enum RoundKind {
     Promote,
 }
 
+impl RoundKind {
+    /// Applies one counter delta of this phase; true on a zero crossing.
+    #[inline]
+    fn step(self, counter: &mut u32) -> bool {
+        match self {
+            RoundKind::Demote => {
+                debug_assert!(*counter > 0, "support counter underflow");
+                *counter -= 1;
+                *counter == 0
+            }
+            RoundKind::Promote => {
+                *counter += 1;
+                *counter == 1
+            }
+        }
+    }
+
+    /// The pairs a zero crossing re-examines: matches when demoting,
+    /// candidates when promoting.
+    #[inline]
+    fn members(self, m: NodeMasks) -> u64 {
+        match self {
+            RoundKind::Demote => m.matched,
+            RoundKind::Promote => m.candt,
+        }
+    }
+}
+
+/// The read-only inputs of a drain phase, shared by every shard.
+#[derive(Clone, Copy)]
+struct DrainCtx<'a> {
+    graph: &'a DataGraph,
+    layout: &'a SlotLayout,
+    child_mask: &'a [u64],
+    parent_masks: &'a [u64],
+    np: usize,
+    plan: ShardPlan,
+}
+
 /// Per-shard state of one bulk-synchronous drain phase.
 struct ShardState<'a> {
-    /// First node id owned by this shard.
-    base: usize,
-    /// Membership masks of the owned nodes.
+    /// First slot owned by this shard.
+    slot_base: usize,
+    /// First counter position owned by this shard.
+    cnt_base: usize,
+    /// Membership masks of the owned slots.
     masks: &'a mut [NodeMasks],
-    /// Counter rows of the owned nodes.
+    /// Counter rows of the owned slots.
     cnt: &'a mut [u32],
     /// Seeds `(u, v)` with `v` owned by this shard, pending evaluation.
     worklist: Vec<Seed>,
@@ -2093,30 +2269,33 @@ struct ShardState<'a> {
     promoted: bool,
 }
 
-/// Splits the per-node arrays into disjoint per-shard views.
+/// Splits the slot state into disjoint per-shard views: each node range of
+/// the plan owns a contiguous run of slots and of counter rows.
 fn shard_states<'a>(
     masks: &'a mut [NodeMasks],
     cnt: &'a mut [u32],
-    np: usize,
-    plan: ShardPlan,
+    ctx: DrainCtx<'_>,
 ) -> Vec<ShardState<'a>> {
+    let plan = ctx.plan;
     let mut states = Vec::with_capacity(plan.count);
     let mut masks_rest = masks;
     let mut cnt_rest = cnt;
     for shard in 0..plan.count {
-        let range = plan.range(shard);
-        let (shard_masks, masks_tail) = masks_rest.split_at_mut(range.len());
-        let (shard_cnt, cnt_tail) = cnt_rest.split_at_mut(range.len() * np);
+        let slots = ctx.layout.slots_of(&plan.range(shard));
+        let counters = ctx.layout.rows_of(&slots);
+        let (shard_masks, masks_tail) = masks_rest.split_at_mut(slots.len());
+        let (shard_cnt, cnt_tail) = cnt_rest.split_at_mut(counters.len());
         masks_rest = masks_tail;
         cnt_rest = cnt_tail;
         states.push(ShardState {
-            base: range.start,
+            slot_base: slots.start,
+            cnt_base: counters.start,
             masks: shard_masks,
             cnt: shard_cnt,
             worklist: Vec::new(),
             inbox: Vec::new(),
             outboxes: vec![Vec::new(); plan.count],
-            match_delta: vec![0; np],
+            match_delta: vec![0; ctx.np],
             delta_inserted: Vec::new(),
             delta_removed: Vec::new(),
             stats: AffStats::default(),
@@ -2153,62 +2332,55 @@ fn merge_shard(
 /// evaluate the worklist (step B). Step B reads counters exactly as step A
 /// left them — the deltas it produces are deferred to the next round's step A
 /// — so both steps are order-independent within the round.
-fn drain_round(
-    st: &mut ShardState<'_>,
-    kind: RoundKind,
-    graph: &DataGraph,
-    np: usize,
-    parent_masks: &[u64],
-    child_mask: &[u64],
-    plan: ShardPlan,
-) {
+fn drain_round(st: &mut ShardState<'_>, kind: RoundKind, ctx: DrainCtx<'_>) {
+    // The counter positions of slot `s` within this shard's rows.
+    let local_row = |s: usize, cnt_base: usize| {
+        let row = ctx.layout.row(s);
+        row.start - cnt_base..row.end - cnt_base
+    };
+
     // Step A: apply the counter deltas addressed to this shard. A zero
     // crossing (1→0 demoting, 0→1 promoting) seeds the owned pairs whose
     // support status may have flipped — exactly when the sequential drains
-    // enqueue them.
+    // enqueue them. Step B only addresses nodes that keep the counter.
     let inbox = std::mem::take(&mut st.inbox);
     for (node, u2) in inbox {
         let (node, u2) = (node as usize, u2 as usize);
-        let local = node - st.base;
-        let counter = &mut st.cnt[local * np + u2];
+        let s = ctx.layout.slot(node).expect("counter messages go to slot owners");
+        let m = st.masks[s - st.slot_base];
+        let need = ctx.layout.need(s);
+        debug_assert!(need & (1u64 << u2) != 0, "message for a counter n{node} does not keep");
+        let row = local_row(s, st.cnt_base);
+        let counter = &mut st.cnt[row.start + row_offset(need, u2)];
         st.stats.counter_updates += 1;
-        let crossed = match kind {
-            RoundKind::Demote => {
-                debug_assert!(*counter > 0, "counter underflow at (n{node}, u{u2})");
-                *counter -= 1;
-                *counter == 0
-            }
-            RoundKind::Promote => {
-                *counter += 1;
-                *counter == 1
-            }
-        };
-        if crossed {
-            let members = match kind {
-                RoundKind::Demote => st.masks[local].matched,
-                RoundKind::Promote => st.masks[local].candt,
-            };
-            let mut bits = members & parent_masks[u2];
-            while bits != 0 {
-                let u = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+        if kind.step(counter) {
+            for u in Bits(kind.members(m) & ctx.parent_masks[u2]) {
                 st.worklist.push((u as u32, node as u32));
             }
         }
     }
 
     // Step B: evaluate this round's seeds; demotions/promotions send one
-    // counter delta per graph parent through the outboxes.
+    // counter delta through the outboxes to every graph parent that keeps a
+    // counter for `u` — a candidate of a pattern parent of `u`; for the
+    // other parents nothing moves.
     let worklist = std::mem::take(&mut st.worklist);
     for (u, v) in worklist {
         let (u, v) = (u as usize, v as usize);
         st.stats.nodes_visited += 1;
-        let local = v - st.base;
+        let Some(s) = ctx.layout.slot(v) else { continue };
+        let local = s - st.slot_base;
         let bit = 1u64 << u;
-        let row = &st.cnt[local * np..(local + 1) * np];
+        let m = st.masks[local];
+        if kind.members(m) & bit == 0 {
+            continue;
+        }
+        let need = ctx.layout.need(s);
+        let row = &st.cnt[local_row(s, st.cnt_base)];
+        let supported = row_has_support(row, need, ctx.child_mask[u]);
         match kind {
             RoundKind::Demote => {
-                if st.masks[local].matched & bit == 0 || row_has_support(row, child_mask[u]) {
+                if supported {
                     continue;
                 }
                 st.masks[local].matched &= !bit;
@@ -2218,7 +2390,7 @@ fn drain_round(
                 st.stats.matches_removed += 1;
             }
             RoundKind::Promote => {
-                if st.masks[local].candt & bit == 0 || !row_has_support(row, child_mask[u]) {
+                if !supported {
                     continue;
                 }
                 st.masks[local].candt &= !bit;
@@ -2230,8 +2402,10 @@ fn drain_round(
             }
         }
         st.stats.aux_changes += 1;
-        for &p in graph.parents(NodeId::from_index(v)) {
-            st.outboxes[plan.owner(p.index())].push((p.0, u as u32));
+        for &p in ctx.graph.parents(NodeId::from_index(v)) {
+            if ctx.layout.slot(p.index()).is_some_and(|ps| ctx.layout.need(ps) & bit != 0) {
+                st.outboxes[ctx.plan.owner(p.index())].push((p.0, u as u32));
+            }
         }
     }
 }
@@ -2242,21 +2416,18 @@ fn drain_round(
 /// so [`SimulationIndex::finish_apply`] can call it while the delta tracker
 /// is mutably borrowed.
 fn rebuild_relation_from(
+    layout: &SlotLayout,
     masks: &[NodeMasks],
     match_count: &[usize],
     np: usize,
-    nv: usize,
 ) -> MatchRelation {
     if match_count.contains(&0) {
         return MatchRelation::empty(np);
     }
     let mut lists: Vec<Vec<NodeId>> = match_count.iter().map(|&c| Vec::with_capacity(c)).collect();
-    // Ascending v ⇒ every per-pattern-node list is already sorted.
-    for (v, m) in masks.iter().take(nv).enumerate() {
-        let mut bits = m.matched;
-        while bits != 0 {
-            let u = bits.trailing_zeros() as usize;
-            bits &= bits - 1;
+    // Ascending slots = ascending v ⇒ every per-pattern-node list is sorted.
+    for (m, v) in masks.iter().zip(layout.nodes()) {
+        for u in Bits(m.matched) {
             lists[u].push(NodeId::from_index(v));
         }
     }
@@ -2266,44 +2437,20 @@ fn rebuild_relation_from(
 /// Enumerates the raw mask-level match pairs `(u, v)` regardless of totality
 /// — the collapse case of [`finalize_delta`] reconstructs the pre-batch view
 /// from these by undoing the batch's recorded churn.
-fn raw_mask_pairs(masks: &[NodeMasks], nv: usize) -> Vec<(u32, u32)> {
+fn raw_mask_pairs(layout: &SlotLayout, masks: &[NodeMasks]) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
-    for (v, m) in masks.iter().take(nv).enumerate() {
-        let mut bits = m.matched;
-        while bits != 0 {
-            let u = bits.trailing_zeros();
-            bits &= bits - 1;
-            pairs.push((u, v as u32));
+    for (m, v) in masks.iter().zip(layout.nodes()) {
+        for u in Bits(m.matched) {
+            pairs.push((u as u32, v as u32));
         }
     }
     pairs
 }
 
-/// One counter read per pattern child of `u` over a single node's counter row.
-#[inline]
-fn row_has_support(row: &[u32], mut children: u64) -> bool {
-    while children != 0 {
-        let u2 = children.trailing_zeros() as usize;
-        children &= children - 1;
-        if row[u2] == 0 {
-            return false;
-        }
-    }
-    true
-}
-
 /// Runs rounds until every worklist and inbox is empty, fanning a round out
 /// to scoped threads only when the pending work amortises the spawns (the
 /// execution strategy never changes the computation, only where it runs).
-fn drive_rounds(
-    states: &mut [ShardState<'_>],
-    kind: RoundKind,
-    graph: &DataGraph,
-    np: usize,
-    parent_masks: &[u64],
-    child_mask: &[u64],
-    plan: ShardPlan,
-) {
+fn drive_rounds(states: &mut [ShardState<'_>], kind: RoundKind, ctx: DrainCtx<'_>) {
     loop {
         let pending: usize = states.iter().map(|st| st.worklist.len() + st.inbox.len()).sum();
         if pending == 0 {
@@ -2317,14 +2464,12 @@ fn drive_rounds(
                     if st.worklist.is_empty() && st.inbox.is_empty() {
                         continue;
                     }
-                    scope.spawn(move || {
-                        drain_round(st, kind, graph, np, parent_masks, child_mask, plan)
-                    });
+                    scope.spawn(move || drain_round(st, kind, ctx));
                 }
             });
         } else {
             for st in states.iter_mut() {
-                drain_round(st, kind, graph, np, parent_masks, child_mask, plan);
+                drain_round(st, kind, ctx);
             }
         }
         // Merge step: move every outbox into its destination inbox, producers
@@ -2371,12 +2516,20 @@ impl IncrementalEngine for SimulationIndex {
         SimulationIndex::poisoned(self)
     }
 
+    fn memory_bytes(&self) -> usize {
+        SimulationIndex::memory_bytes(self)
+    }
+
     /// Plain simulation needs no graph-wide auxiliary structure: candidate
     /// membership is re-derived per pattern and the masks carry everything
     /// else, so the shared state is the unit type.
     type Shared = ();
 
     fn shared_build(_graph: &DataGraph, _shards: usize) -> Self::Shared {}
+
+    fn shared_memory_bytes(_shared: &()) -> usize {
+        0
+    }
 
     fn shared_stage() -> &'static str {
         PipelineStage::Mutate.label()
@@ -2394,6 +2547,8 @@ impl IncrementalEngine for SimulationIndex {
         SharedMutation { affected: None, updates_processed: effective.len(), affected_entries: 0 }
     }
 
+    /// Keeps the interned candidate lists (`Arc` clones, not copies): the
+    /// index answers `match_set`/`candidate_set` from them.
     fn build_in_service(
         pattern: &Pattern,
         graph: &DataGraph,
@@ -2401,14 +2556,8 @@ impl IncrementalEngine for SimulationIndex {
         cand_lists: &[Arc<Vec<NodeId>>],
         shards: usize,
     ) -> Result<Self, BuildError> {
-        if !pattern.is_normal() {
-            return Err(BuildError::NotNormal);
-        }
-        if pattern.node_count() > MAX_PATTERN_NODES {
-            return Err(BuildError::ArityTooLarge { arity: pattern.node_count() });
-        }
-        let list_refs: Vec<&[NodeId]> = cand_lists.iter().map(|l| l.as_slice()).collect();
-        Ok(Self::build_from_candidates(pattern, graph, &list_refs, shards))
+        check_buildable(pattern)?;
+        Ok(Self::build_from_candidates(pattern, graph, cand_lists.to_vec(), shards))
     }
 
     fn try_apply_shared(
@@ -3045,6 +3194,69 @@ mod tests {
         assert_eq!(report.stats.matches_added, control_stats.stats.matches_added);
         assert_eq!(report.stats.matches_removed, control_stats.stats.matches_removed);
         assert_consistent(&lenient, &p, &lenient_graph, "after lenient apply");
+    }
+
+    #[test]
+    fn memory_grows_with_candidates_not_with_nodes() {
+        // A selective pattern (two of eight labels) over a 2k-node graph,
+        // then over the same graph grown 4× with nodes of a label no
+        // pattern node accepts: every added node is a non-candidate.
+        let graph = synthetic_graph(&SyntheticConfig::new(2000, 8000, 8, 0x3E3));
+        let mut p = Pattern::new();
+        let a = p.add_labeled_node("l0");
+        let b = p.add_labeled_node("l1");
+        p.add_normal_edge(a, b);
+        p.add_normal_edge(b, a);
+        let mut grown = graph.clone();
+        let added = 3 * graph.node_count();
+        for _ in 0..added {
+            grown.add_labeled_node("unused");
+        }
+
+        let small = SimulationIndex::build_with_shards(&p, &graph, 1);
+        let large = SimulationIndex::build_with_shards(&p, &grown, 1);
+        assert_eq!(large.matches(), small.matches());
+        let (small_bytes, large_bytes) = (small.memory_bytes(), large.memory_bytes());
+        assert!(
+            large_bytes <= small_bytes + added,
+            "{added} non-candidate nodes grew the index from {small_bytes} to {large_bytes} \
+             bytes; at most one byte per node is allowed"
+        );
+        // The dense layout would have grown by a mask pair and a counter row
+        // per node; the candidate-indexed one stays well below both.
+        let dense_growth = added * (16 + 4 * p.node_count());
+        assert!(large_bytes - small_bytes < dense_growth / 100);
+
+        // Growing a built index by the same nodes (observed at the next
+        // update) obeys the same bound, slack from vector growth included.
+        let mut index = SimulationIndex::build_with_shards(&p, &graph, 1);
+        let mut g = graph.clone();
+        for _ in 0..added {
+            g.add_labeled_node("unused");
+        }
+        index.apply_batch_with_shards(&mut g, &BatchUpdate::new(), 1);
+        assert!(index.memory_bytes() <= small_bytes + added);
+        assert_eq!(index.aux_snapshot(), large.aux_snapshot());
+    }
+
+    #[test]
+    fn counters_exist_only_under_candidate_parents() {
+        // P3' (CTO → DB, DB → CTO, DB → Bio, CTO → Bio): a CTO candidate
+        // keeps counters for DB and Bio, a DB candidate for CTO and Bio, and
+        // a Bio candidate (childless) none; Ross (Med) owns no slot at all.
+        let ff = friendfeed();
+        let index = SimulationIndex::build(&pattern_p3(), &ff.graph);
+        let rows: Vec<usize> = (0..index.layout.len).map(|s| index.layout.row(s).len()).collect();
+        let labels: Vec<&str> = index
+            .layout
+            .nodes()
+            .map(|v| ff.graph.attrs(NodeId::from_index(v)).label().expect("labelled"))
+            .collect();
+        let expected: Vec<usize> = labels.iter().map(|&l| if l == "Bio" { 0 } else { 2 }).collect();
+        assert_eq!(rows, expected);
+        assert!(!labels.contains(&"Med"));
+        assert_eq!(index.layout.slot(ff.ross.index()), None);
+        assert_eq!(index.cnt.len(), 2 * 4, "two CTO and two DB candidates, two counters each");
     }
 
     #[test]

@@ -266,6 +266,25 @@ impl<E: IncrementalEngine> MatchService<E> {
         self.interner.entries.len()
     }
 
+    /// Approximate heap bytes of the service's matching state: every
+    /// registered pattern's own auxiliary state
+    /// ([`IncrementalEngine::memory_bytes`]), plus what the patterns share —
+    /// the interned candidate lists (each counted once, however many
+    /// pattern nodes reference it), the label index and the engine's
+    /// [`Shared`](IncrementalEngine::Shared) structure. The data graph
+    /// itself and the materialised snapshot views are not included.
+    pub fn memory_bytes(&self) -> usize {
+        let patterns: usize =
+            self.slots.iter().flatten().map(|slot| slot.engine.memory_bytes()).sum();
+        let interned: usize = self
+            .interner
+            .entries
+            .iter()
+            .map(|entry| entry.nodes.capacity() * std::mem::size_of::<NodeId>())
+            .sum();
+        patterns + interned + self.labels.memory_bytes() + E::shared_memory_bytes(&self.shared)
+    }
+
     /// The currently registered pattern ids, in registration-slot order.
     pub fn pattern_ids(&self) -> Vec<PatternId> {
         self.slots
@@ -555,6 +574,23 @@ mod tests {
         svc.apply(&batch).unwrap();
         let third = svc.matches(id).unwrap();
         assert!(!Arc::ptr_eq(&first, &third), "new epoch must rematerialise");
+    }
+
+    #[test]
+    fn memory_counts_each_interned_list_once() {
+        let (g, _) = chain_graph();
+        let mut svc: MatchService<SimulationIndex> = MatchService::with_shards(g, 1);
+        let empty = svc.memory_bytes();
+        let p = edge_pattern("A", "B");
+        svc.register(&p).unwrap();
+        let one = svc.memory_bytes();
+        let second = svc.register(&p).unwrap();
+        let two = svc.memory_bytes();
+        // The second registration shares both interned lists: it adds its
+        // own engine state and nothing else.
+        let engine = &svc.slots[second.slot as usize].as_ref().unwrap().engine;
+        assert_eq!(two - one, IncrementalEngine::memory_bytes(engine));
+        assert!(two - one < one - empty, "interned lists are counted once");
     }
 
     #[test]

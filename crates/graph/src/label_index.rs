@@ -184,6 +184,20 @@ impl LabelIndex {
         &self.unlabeled
     }
 
+    /// Approximate heap bytes of the index: the bucket table (counted by
+    /// capacity, one control byte per bucket), the label strings and the
+    /// node lists.
+    pub fn memory_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let table = self.buckets.capacity() * (size_of::<(String, Vec<NodeId>)>() + 1);
+        let entries: usize = self
+            .buckets
+            .iter()
+            .map(|(label, nodes)| label.capacity() + nodes.capacity() * size_of::<NodeId>())
+            .sum();
+        table + entries + self.unlabeled.capacity() * size_of::<NodeId>()
+    }
+
     /// Number of distinct labels.
     pub fn label_count(&self) -> usize {
         self.buckets.len()

@@ -311,3 +311,45 @@ fn strict_rejection_is_deterministic_across_shard_counts() {
         assert!(errors.windows(2).all(|w| w[0] == w[1]), "round {round}: divergent rejections");
     }
 }
+
+/// Probes one engine with updates whose endpoints lie outside the graph:
+/// the unit insert and delete, the infallible and the lenient batch skip
+/// them (graph and index untouched, empty delta) and the strict batch
+/// rejects them whole.
+macro_rules! probe_out_of_range {
+    ($engine:ty, $pattern:expr, $base:expr) => {{
+        let base: &DataGraph = $base;
+        let inside = base.edges().next().expect("graph has edges");
+        let far = NodeId::from_index(base.node_count() + 5);
+        let mut graph = base.clone();
+        let mut index = <$engine>::build_with_shards(&$pattern, &graph, 1);
+        let (aux, view) = (index.aux_snapshot(), index.matches());
+        for (a, b) in [(inside.0, far), (far, inside.1), (far, far)] {
+            let context = format!("{} ({a}, {b})", stringify!($engine));
+            for outcome in
+                [index.insert_edge(&mut graph, a, b), index.delete_edge(&mut graph, a, b)]
+            {
+                assert!(outcome.delta.is_empty(), "{context}: unit update emitted a delta");
+                assert_eq!(outcome.stats.delta_m(), 0, "{context}: unit update moved a match");
+            }
+            let batch = BatchUpdate::from_updates(vec![Update::insert(a, b), Update::delete(a, b)]);
+            assert!(index.apply_batch(&mut graph, &batch).delta.is_empty(), "{context}: batch");
+            let lenient = index.apply_batch_lenient(&mut graph, &batch).expect("lenient apply");
+            assert_eq!(lenient.rejected.len(), 2, "{context}: both updates reported");
+            assert!(lenient.delta.is_empty(), "{context}: lenient batch emitted a delta");
+            let strict = index.try_apply_batch(&mut graph, &batch);
+            assert!(matches!(strict, Err(ApplyError::InvalidBatch(_))), "{context}: strict");
+            assert!(graph.identical_to(base), "{context}: the graph changed");
+            assert_eq!(index.aux_snapshot(), aux, "{context}: the index changed");
+        }
+        assert_eq!(index.matches(), view);
+    }};
+}
+
+#[test]
+fn out_of_range_endpoints_are_skipped_by_every_entry_point() {
+    let mut rng = StdRng::seed_from_u64(0x00B0_0B5E);
+    let base = random_graph(&mut rng, 40, 120, 3);
+    probe_out_of_range!(SimulationIndex, sim_pattern(), &base);
+    probe_out_of_range!(BoundedIndex, bsim_pattern(), &base);
+}

@@ -43,7 +43,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// Serialises the failpoint-driven tests: the registry is process-global.
+/// Serialises every test of this suite: the failpoint registry is
+/// process-global, so a test that only runs engines would otherwise race
+/// with a test that has a site armed.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -344,6 +346,7 @@ fn view_diff_stream<E: DeltaEngine>(pattern: &Pattern, initial: &DataGraph, seed
 
 #[test]
 fn sim_delta_equals_view_diff_on_cyclic_stream() {
+    let _guard = serial();
     view_diff_stream::<SimulationIndex>(
         &SimulationIndex::cyclic_pattern(),
         &seed_world(28, 2),
@@ -353,11 +356,13 @@ fn sim_delta_equals_view_diff_on_cyclic_stream() {
 
 #[test]
 fn bsim_delta_equals_view_diff_on_cyclic_stream() {
+    let _guard = serial();
     view_diff_stream::<BoundedIndex>(&BoundedIndex::cyclic_pattern(), &seed_world(28, 2), 0xD51B);
 }
 
 #[test]
 fn sim_delta_equals_view_diff_on_dag_stream() {
+    let _guard = serial();
     view_diff_stream::<SimulationIndex>(
         &SimulationIndex::dag_pattern(),
         &seed_world(27, 3),
@@ -367,6 +372,7 @@ fn sim_delta_equals_view_diff_on_dag_stream() {
 
 #[test]
 fn bsim_delta_equals_view_diff_on_dag_stream() {
+    let _guard = serial();
     view_diff_stream::<BoundedIndex>(&BoundedIndex::dag_pattern(), &seed_world(27, 3), 0xDA6B);
 }
 
@@ -397,11 +403,13 @@ fn churn_stream<E: DeltaEngine>(pattern: &Pattern, labels: usize, seed: u64) {
 
 #[test]
 fn sim_delta_equals_view_diff_under_node_churn() {
+    let _guard = serial();
     churn_stream::<SimulationIndex>(&SimulationIndex::cyclic_pattern(), 2, 0xC0A1);
 }
 
 #[test]
 fn bsim_delta_equals_view_diff_under_node_churn() {
+    let _guard = serial();
     churn_stream::<BoundedIndex>(&BoundedIndex::cyclic_pattern(), 2, 0xC0A2);
 }
 
@@ -451,11 +459,13 @@ fn shard_identity_stream<E: DeltaEngine>(pattern: &Pattern, seed: u64) {
 
 #[test]
 fn sim_deltas_bit_identical_across_shard_counts() {
+    let _guard = serial();
     shard_identity_stream::<SimulationIndex>(&SimulationIndex::cyclic_pattern(), 0x5A4D);
 }
 
 #[test]
 fn bsim_deltas_bit_identical_across_shard_counts() {
+    let _guard = serial();
     shard_identity_stream::<BoundedIndex>(&BoundedIndex::cyclic_pattern(), 0x5A4E);
 }
 
@@ -494,11 +504,13 @@ fn monotone_stream<E: DeltaEngine>(pattern: &Pattern, seed: u64) {
 
 #[test]
 fn sim_monotone_fast_path_emits_exact_deltas() {
+    let _guard = serial();
     monotone_stream::<SimulationIndex>(&SimulationIndex::cyclic_pattern(), 0x30A0);
 }
 
 #[test]
 fn bsim_monotone_fast_path_emits_exact_deltas() {
+    let _guard = serial();
     monotone_stream::<BoundedIndex>(&BoundedIndex::cyclic_pattern(), 0x30A1);
 }
 
@@ -555,11 +567,13 @@ fn cache_retention<E: DeltaEngine>() {
 
 #[test]
 fn sim_empty_delta_apply_keeps_cached_view() {
+    let _guard = serial();
     cache_retention::<SimulationIndex>();
 }
 
 #[test]
 fn bsim_empty_delta_apply_keeps_cached_view() {
+    let _guard = serial();
     cache_retention::<BoundedIndex>();
 }
 
@@ -610,7 +624,6 @@ fn two_ring_world(ring_len: usize) -> (DataGraph, BatchUpdate) {
 }
 
 fn poisoned_read_surface<E: DeltaEngine>() {
-    let _guard = serial();
     let pattern = E::cyclic_pattern();
     let (mut graph, batch) = two_ring_world(8);
     let mut engine = E::build_shards(&pattern, &graph, 1);
@@ -652,11 +665,13 @@ fn poisoned_read_surface<E: DeltaEngine>() {
 
 #[test]
 fn sim_poisoned_reads_pin_panic_and_error_strings() {
+    let _guard = serial();
     poisoned_read_surface::<SimulationIndex>();
 }
 
 #[test]
 fn bsim_poisoned_reads_pin_panic_and_error_strings() {
+    let _guard = serial();
     poisoned_read_surface::<BoundedIndex>();
 }
 
@@ -736,11 +751,13 @@ fn lenient_lockstep<E: DeltaEngine>(seed: u64) {
 
 #[test]
 fn sim_lenient_reports_original_positions_and_strict_delta() {
+    let _guard = serial();
     lenient_lockstep::<SimulationIndex>(0x1E41);
 }
 
 #[test]
 fn bsim_lenient_reports_original_positions_and_strict_delta() {
+    let _guard = serial();
     lenient_lockstep::<BoundedIndex>(0x1E42);
 }
 
@@ -901,7 +918,6 @@ fn bsim_crash_at_every_durability_site_replays_identical_deltas() {
 /// subscription observes every sequence number exactly once — no gap, no
 /// duplicate — exactly as the never-crashed run would have shown it.
 fn inplace_recover_republishes_swallowed_tail<E: DeltaEngine>() {
-    let _guard = serial();
     let pattern = E::cyclic_pattern();
     let world = TwoRings::new(8);
     let initial = world.graph.clone();
@@ -964,11 +980,13 @@ fn inplace_recover_republishes_swallowed_tail<E: DeltaEngine>() {
 
 #[test]
 fn sim_inplace_recover_republishes_only_swallowed_deltas() {
+    let _guard = serial();
     inplace_recover_republishes_swallowed_tail::<SimulationIndex>();
 }
 
 #[test]
 fn bsim_inplace_recover_republishes_only_swallowed_deltas() {
+    let _guard = serial();
     inplace_recover_republishes_swallowed_tail::<BoundedIndex>();
 }
 
@@ -977,6 +995,7 @@ fn bsim_inplace_recover_republishes_only_swallowed_deltas() {
 /// then the retained tail, then catches up.
 #[test]
 fn slow_subscriber_observes_explicit_lag() {
+    let _guard = serial();
     let pattern = SimulationIndex::cyclic_pattern();
     let initial = seed_world(16, 2);
     let mut rng = Rng(0x0F10);
@@ -1011,6 +1030,7 @@ fn slow_subscriber_observes_explicit_lag() {
 /// the advertised consumer contract, end to end through checkpoint+WAL.
 #[test]
 fn folding_subscription_deltas_reproduces_the_view() {
+    let _guard = serial();
     let pattern = SimulationIndex::cyclic_pattern();
     let initial = seed_world(22, 2);
     let mut rng = Rng(0xF01D);
@@ -1049,6 +1069,7 @@ fn folding_subscription_deltas_reproduces_the_view() {
 /// `Lagged { missed: 1 }` the old cursor produced.
 #[test]
 fn subscribe_from_zero_is_the_full_stream_without_phantom_lag() {
+    let _guard = serial();
     let pattern = SimulationIndex::cyclic_pattern();
     let initial = seed_world(16, 2);
     let mut rng = Rng(0x5EB0);
@@ -1088,6 +1109,7 @@ fn subscribe_from_zero_is_the_full_stream_without_phantom_lag() {
 /// batch commits, then the stream starts exactly there.
 #[test]
 fn future_cursor_skips_silently_then_resumes_exactly_there() {
+    let _guard = serial();
     let pattern = SimulationIndex::cyclic_pattern();
     let initial = seed_world(16, 2);
     let mut rng = Rng(0xF07E);
@@ -1121,6 +1143,7 @@ fn future_cursor_skips_silently_then_resumes_exactly_there() {
 /// batch 0.
 #[test]
 fn subscribe_from_below_a_pruned_checkpoint_lags_exactly() {
+    let _guard = serial();
     let pattern = SimulationIndex::cyclic_pattern();
     let initial = seed_world(18, 2);
     let mut rng = Rng(0xC4B0);
@@ -1169,6 +1192,7 @@ fn subscribe_from_below_a_pruned_checkpoint_lags_exactly() {
 /// a checkpoint lags with batch-granular counts.
 #[test]
 fn service_subscribe_from_matches_index_semantics() {
+    let _guard = serial();
     let pattern = SimulationIndex::cyclic_pattern();
     let initial = seed_world(18, 2);
     let mut rng = Rng(0x5E8F);

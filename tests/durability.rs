@@ -51,7 +51,9 @@ const DURABILITY_SITES: [&str; 6] = [
     fail::WAL_PRUNE,
 ];
 
-/// Serialises the tests: the failpoint registry is process-global.
+/// Serialises every test of this suite: the failpoint registry is
+/// process-global, so a test that only runs engines would otherwise race
+/// with a test that has a site armed.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -901,6 +903,7 @@ fn contained_engine_panic_after_logging_reconciles_from_disk() {
 /// created on disk — no half-initialised directory, no silent clamp.
 #[test]
 fn degenerate_durable_options_are_rejected_at_open() {
+    let _guard = serial();
     let pattern = cycle_pattern();
     let initial = seed_world(8);
 
@@ -977,6 +980,7 @@ fn degenerate_durable_options_are_rejected_at_open() {
 /// auto-checkpoints, and still honours the manual call.
 #[test]
 fn checkpoint_every_zero_only_disables_automatic_checkpoints() {
+    let _guard = serial();
     let pattern = cycle_pattern();
     let initial = seed_world(10);
     let mut rng = Rng(0xCE00);

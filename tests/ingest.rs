@@ -36,7 +36,9 @@ use std::time::{Duration, Instant};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// Serialises the failpoint-driven tests: the registry is process-global.
+/// Serialises every test of this suite: the failpoint registry is
+/// process-global, so a test that only runs engines would otherwise race
+/// with a test that has a site armed.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -352,11 +354,13 @@ fn ingest_stream_equivalence<E: IngestEngine>(seed: u64) {
 
 #[test]
 fn sim_ingest_delta_stream_equals_synchronous_application() {
+    let _guard = serial();
     ingest_stream_equivalence::<SimulationIndex>(0x16E5_0001);
 }
 
 #[test]
 fn bsim_ingest_delta_stream_equals_synchronous_application() {
+    let _guard = serial();
     ingest_stream_equivalence::<BoundedIndex>(0x16E5_0002);
 }
 
@@ -409,11 +413,13 @@ fn per_submission_cap_identity<E: IngestEngine>(seed: u64) {
 
 #[test]
 fn sim_per_submission_cap_is_bit_identical_to_unit_application() {
+    let _guard = serial();
     per_submission_cap_identity::<SimulationIndex>(0xCA11);
 }
 
 #[test]
 fn bsim_per_submission_cap_is_bit_identical_to_unit_application() {
+    let _guard = serial();
     per_submission_cap_identity::<BoundedIndex>(0xCA12);
 }
 
@@ -447,6 +453,7 @@ fn edge_service(graph: DataGraph) -> (MatchService<SimulationIndex>, PatternId) 
 /// the region-wise net effect — independent of the interleaving.
 #[test]
 fn multi_producer_interleavings_commit_fifo_and_converge() {
+    let _guard = serial();
     const PRODUCERS: usize = 4;
     const REGION: usize = 16;
     const EDGES: usize = 4;
@@ -516,6 +523,7 @@ fn multi_producer_interleavings_commit_fifo_and_converge() {
 /// equals the synchronous application of exactly the accepted prefix.
 #[test]
 fn shutdown_flushes_every_enqueued_submission_mid_burst() {
+    let _guard = serial();
     const SUBMISSIONS: usize = 200;
     let initial = producer_world(1, 16);
     let mut rng = Rng(0x51D0);
@@ -570,6 +578,7 @@ fn shutdown_flushes_every_enqueued_submission_mid_burst() {
 /// commit once drained — the bounded queue never silently drops.
 #[test]
 fn blocking_submit_parks_until_a_drain_frees_space() {
+    let _guard = serial();
     let (service, _pid) = edge_service(producer_world(1, 16));
     let opts = IngestOptions { queue_capacity: 2, ..IngestOptions::default() };
     let mut ingest = Ingest::new_manual(service, opts);
@@ -624,6 +633,7 @@ fn blocking_submit_parks_until_a_drain_frees_space() {
 /// remainder applies exactly as the synchronous lenient path would.
 #[test]
 fn lenient_positions_survive_coalescing() {
+    let _guard = serial();
     let (service, pid) = edge_service(producer_world(1, 16));
     let mut ingest = Ingest::new_manual(service, IngestOptions::default());
     let handle = ingest.handle();

@@ -39,7 +39,9 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serialises the failpoint-armed tests: the registry is process-global.
+/// Serialises every test of this suite: the failpoint registry is
+/// process-global, so a test that only runs engines would otherwise race
+/// with a test that has a site armed.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 fn serial() -> MutexGuard<'static, ()> {
@@ -150,6 +152,7 @@ fn assert_outcome_eq(
 /// stream identical across shard counts.
 #[test]
 fn sim_service_is_bit_identical_to_independent_indexes() {
+    let _serial = serial();
     let base = synthetic_graph(&SyntheticConfig::new(260, 950, 4, 0x9101));
     let patterns = normal_pattern_pool(&base, 8, 0x9102);
     const ROUNDS: usize = 12;
@@ -221,6 +224,7 @@ fn sim_service_is_bit_identical_to_independent_indexes() {
 /// included.
 #[test]
 fn bsim_service_is_bit_identical_to_independent_indexes() {
+    let _serial = serial();
     let base = synthetic_graph(&SyntheticConfig::new(150, 520, 4, 0xB101));
     let patterns = bounded_pattern_pool();
     const ROUNDS: usize = 10;
@@ -289,6 +293,7 @@ fn bsim_service_is_bit_identical_to_independent_indexes() {
 /// matches from its first batch on.
 #[test]
 fn deregistration_and_midstream_registration_churn() {
+    let _serial = serial();
     let base = synthetic_graph(&SyntheticConfig::new(180, 650, 4, 0xC101));
     let patterns = normal_pattern_pool(&base, 8, 0xC102);
     let mut svc: MatchService<SimulationIndex> = MatchService::with_shards(base, 3);
@@ -431,6 +436,7 @@ fn poisoned_pattern_leaves_every_other_pattern_serving() {
 /// independent indexes for every shard count — statistics, deltas and views.
 #[test]
 fn service_with_256_patterns_matches_256_independent_indexes() {
+    let _serial = serial();
     let base = synthetic_graph(&SyntheticConfig::new(130, 430, 4, 0xE101));
     let patterns = normal_pattern_pool(&base, 256, 0xE102);
     const ROUNDS: usize = 4;
@@ -633,6 +639,7 @@ fn durable_service_recovers_shared_stage_panic_from_the_log() {
 /// (counted in batches) and then a live stream again.
 #[test]
 fn durable_service_subscription_lags_explicitly() {
+    let _serial = serial();
     let base = synthetic_graph(&SyntheticConfig::new(90, 280, 3, 0xF601));
     let patterns = normal_pattern_pool(&base, 2, 0xF602);
     let scratch = Scratch::new("lag");
@@ -672,6 +679,7 @@ fn durable_service_subscription_lags_explicitly() {
 /// through the durability boundary too).
 #[test]
 fn durable_bounded_service_round_trips() {
+    let _serial = serial();
     let base = synthetic_graph(&SyntheticConfig::new(100, 340, 4, 0xF801));
     let patterns: Vec<Pattern> = bounded_pattern_pool().into_iter().take(3).collect();
     let scratch = Scratch::new("bounded");
