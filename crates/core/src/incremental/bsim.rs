@@ -73,8 +73,10 @@ pub struct BoundedIndex {
     cand_bits: Vec<u64>,
     /// The same candidates as sorted per-pattern-node lists, kept so that
     /// pair re-evaluation iterates `O(|candidates|)` instead of scanning
-    /// every data node.
-    cand_lists: Vec<Vec<NodeId>>,
+    /// every data node: the interned `Arc`s of a service (shared, not
+    /// copied; node growth copies a list still shared before extending it),
+    /// or the index's own lists when built standalone.
+    cand_lists: Vec<Arc<Vec<NodeId>>>,
     /// `match_bits[v]` bit `u`: `v` is a current bounded-simulation match of `u`.
     match_bits: Vec<u64>,
     /// `|match(u)|` per pattern node.
@@ -205,7 +207,8 @@ impl BoundedIndex {
         );
         // Sharded label-index pass + predicate scans (per node-range slice,
         // merged in node order) — identical lists for every shard count.
-        let cand_lists = candidates_with_shards(pattern, graph, shards);
+        let cand_lists =
+            candidates_with_shards(pattern, graph, shards).into_iter().map(Arc::new).collect();
         Self::build_with_landmarks_from_candidates(pattern, graph, landmarks, cand_lists, shards)
     }
 
@@ -213,13 +216,13 @@ impl BoundedIndex {
     /// candidate lists, then runs the initial refinement drain. Shared by the
     /// standalone builds (which compute the lists themselves) and
     /// [`IncrementalEngine::build_in_service`] (which receives interned lists
-    /// from the service). The lists must be exactly what
+    /// from the service and keeps the `Arc`s). The lists must be exactly what
     /// [`candidates_with_shards`] would return for this pattern and graph.
     fn build_with_landmarks_from_candidates(
         pattern: &Pattern,
         graph: &DataGraph,
         landmarks: LandmarkIndex,
-        cand_lists: Vec<Vec<NodeId>>,
+        cand_lists: Vec<Arc<Vec<NodeId>>>,
         shards: usize,
     ) -> Self {
         debug_assert!(pattern.node_count() <= MAX_PATTERN_NODES);
@@ -261,7 +264,7 @@ impl BoundedIndex {
         for (u, list) in cand_lists.iter().enumerate() {
             // Every candidate starts as a match; refinement demotes below.
             index.match_count[u] = list.len();
-            for v in list {
+            for v in list.iter() {
                 index.cand_bits[v.index()] |= 1 << u;
                 index.match_bits[v.index()] |= 1 << u;
             }
@@ -280,10 +283,11 @@ impl BoundedIndex {
     }
 
     /// Approximate heap bytes of the index's auxiliary state: the per-node
-    /// masks, the candidate lists, the pair sets and support counters (hash
-    /// tables counted by capacity, one control byte per bucket) and the
-    /// landmark index the engine holds. In a service the landmark index is
-    /// the shared one and is counted there instead.
+    /// masks, the candidate lists only this index holds, the pair sets and
+    /// support counters (hash tables counted by capacity, one control byte
+    /// per bucket) and the landmark index the engine holds. In a service the
+    /// landmark index is the shared one, and lists shared with the
+    /// service's interner are the service's; both are counted there instead.
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         fn table<K, V>(map: &FastHashMap<K, V>) -> usize {
@@ -302,8 +306,12 @@ impl BoundedIndex {
             })
             .sum();
         let support: usize = self.support.iter().map(table).sum();
-        let lists: usize =
-            self.cand_lists.iter().map(|list| list.capacity() * size_of::<NodeId>()).sum();
+        let lists: usize = self
+            .cand_lists
+            .iter()
+            .filter(|list| Arc::strong_count(list) == 1)
+            .map(|list| list.capacity() * size_of::<NodeId>())
+            .sum();
         (self.cand_bits.capacity() + self.match_bits.capacity()) * size_of::<u64>()
             + lists
             + pair_sets
@@ -864,7 +872,12 @@ impl BoundedIndex {
     /// threads when `shards > 1` and the pair count warrants it) and the
     /// verdicts are committed sequentially in enumeration order, so the
     /// resulting structures are identical for every shard count.
-    fn rebuild_all_pairs(&mut self, graph: &DataGraph, cand_lists: &[Vec<NodeId>], shards: usize) {
+    fn rebuild_all_pairs(
+        &mut self,
+        graph: &DataGraph,
+        cand_lists: &[Arc<Vec<NodeId>>],
+        shards: usize,
+    ) {
         // Evaluation is blocked by source rows so the verdict buffer stays
         // bounded (≈ EVAL_BLOCK_PAIRS booleans) instead of O(|sources| ·
         // |targets|); blocks run in enumeration order and each block commits
@@ -960,7 +973,7 @@ impl BoundedIndex {
                 if x.index() >= self.nv || self.cand_bits[x.index()] & from_bit == 0 {
                     continue;
                 }
-                for &w in &self.cand_lists[edge.to.index()] {
+                for &w in self.cand_lists[edge.to.index()].iter() {
                     items.push((e_idx as u32, x, w));
                 }
             }
@@ -969,7 +982,7 @@ impl BoundedIndex {
                 if x.index() >= self.nv || self.cand_bits[x.index()] & to_bit == 0 {
                     continue;
                 }
-                for &v in &self.cand_lists[edge.from.index()] {
+                for &v in self.cand_lists[edge.from.index()].iter() {
                     if affected.contains(&v) {
                         continue;
                     }
@@ -1321,8 +1334,9 @@ impl BoundedIndex {
                 }
                 self.cand_bits[v] |= 1 << u.index();
                 // Node ids grow monotonically, so pushing keeps the candidate
-                // lists sorted.
-                self.cand_lists[u.index()].push(node);
+                // lists sorted. A list still shared with a service's interner
+                // (or another engine) is copied first; the others keep theirs.
+                Arc::make_mut(&mut self.cand_lists[u.index()]).push(node);
                 if self.edges_from[u.index()].is_empty() {
                     // A childless-pattern match is a view-level insertion the
                     // tracker must see (it is vacuously supported, so no
@@ -1715,9 +1729,13 @@ impl IncrementalEngine for BoundedIndex {
         let placeholder =
             LandmarkIndex::build_with_shards(graph, LandmarkSelection::Explicit(Vec::new()), 1);
         let landmarks = std::mem::replace(shared, placeholder);
-        let owned: Vec<Vec<NodeId>> = cand_lists.iter().map(|l| l.as_ref().clone()).collect();
-        let mut engine =
-            Self::build_with_landmarks_from_candidates(pattern, graph, landmarks, owned, shards);
+        let mut engine = Self::build_with_landmarks_from_candidates(
+            pattern,
+            graph,
+            landmarks,
+            cand_lists.to_vec(),
+            shards,
+        );
         // Hand the real landmark index back to the service; the engine keeps
         // the placeholder and has the shared index swapped in around every
         // `try_apply_shared` / never reads distances outside it.

@@ -50,6 +50,12 @@
 //! registration that carries the same predicate, not copied.
 //! [`SimulationIndex::memory_bytes`] reports the sum.
 //!
+//! `propCC` adds transient scratch on top, allocated per SCC evaluation and
+//! freed when the evaluation returns, so no pattern keeps any of it between
+//! batches: 4 bytes per slot, at most `32 + 4·|comp|` bytes per gathered
+//! tentative candidate (`|comp|` the SCC's pattern nodes) and 8 bytes per
+//! tentative edge (see `evaluate_scc_joint`).
+//!
 //! Updates are classified per pattern edge into `ss`, `cs` and `cc` edges
 //! (Table II):
 //!
@@ -94,9 +100,10 @@
 //! * **`propCC`** (the SCC-joint pass of cyclic patterns, run between
 //!   rounds) splits into read-only per-SCC evaluation — speculative, on
 //!   scoped threads, with the tentative gather over the candidate slots and
-//!   the derivation/seed scans chunked — and an ordered commit with a dirty
-//!   fallback that reproduces the sequential cross-SCC data flow exactly
-//!   (see `prop_cc`).
+//!   the derivation chunked, all of it on dense scratch addressed by
+//!   position among the gathered candidates — and an ordered commit with a
+//!   dirty fallback that reproduces the sequential cross-SCC data flow
+//!   exactly (see `prop_cc`).
 //!
 //! Within a round every decision depends only on state frozen at the round
 //! boundary, and every statistic counts a set whose contents are
@@ -122,7 +129,6 @@ use crate::incremental::{
 use crate::simulation::{candidates_with_shards, simulation_result_graph};
 use crate::stats::AffStats;
 use igpm_graph::fail;
-use igpm_graph::hash::FastHashMap;
 use igpm_graph::shard::{configured_shards, ShardPlan, PARALLEL_WORK_THRESHOLD};
 use igpm_graph::update::{net_effective_updates, reduce_batch, validate_batch, StagePanic};
 use igpm_graph::{
@@ -1463,10 +1469,16 @@ impl SimulationIndex {
     ///
     /// The refinement is counter-backed, mirroring the main engine: per
     /// (candidate, SCC pattern node) a *tentative support* counter
-    /// `tsup[(v, u2)] = |children(v) ∩ tentative(u2)|` is derived once, and a
+    /// `tsup[v][u2] = |children(v) ∩ tentative(u2)|` is derived once, and a
     /// worklist eliminates non-viable pairs, decrementing the counters of
     /// their tentative parents — instead of the seed's repeated
-    /// full-candidate-set fixpoint sweeps with adjacency rescans.
+    /// full-candidate-set fixpoint sweeps with adjacency rescans. The
+    /// scratch is dense and lives only for one SCC's evaluation: the
+    /// gathered candidates are addressed by position (a slot → position
+    /// map), `tsup` is one row of `|comp|` counters per position, and the
+    /// cascade walks the tentative-induced subgraph, recorded while `tsup` is
+    /// derived and reversed into CSR, instead of the graph's parent lists —
+    /// see [`evaluate_scc_joint`] for its bytes.
     ///
     /// The phase is **sharded on the batch plan**. Each SCC's joint
     /// evaluation is a pure read of the index state ([`evaluate_scc_joint`]),
@@ -1480,8 +1492,8 @@ impl SimulationIndex {
     /// cross-SCC data flow exactly (Tarjan numbering sends pattern edges from
     /// later-enumerated SCCs to earlier ones, so this is the only direction
     /// influence can travel). Within one SCC, the tentative gather over the
-    /// candidate slots, the `tsup` derivation and the viability seed scan are
-    /// chunked over node ranges / candidate chunks — see
+    /// candidate slots and the `tsup` derivation with its viability seed scan
+    /// are chunked over node ranges / candidate positions — see
     /// [`evaluate_scc_joint`]. Matches, counters and [`AffStats`] are
     /// bit-identical for every shard count; `plan.count = 1` is the
     /// sequential engine.
@@ -1951,16 +1963,6 @@ struct SccEvalContext<'a> {
     scc_child_mask: &'a [u64],
 }
 
-impl SccEvalContext<'_> {
-    /// The support counter `(v, u2)`, or 0 when `v` keeps none — a node that
-    /// is no candidate of any pattern parent of `u2`, so no tentative
-    /// assumption on it can rest on `u2`.
-    #[inline]
-    fn counter(&self, v: usize, u2: usize) -> u32 {
-        counter_at(self.view, v, u2).map_or(0, |(_, pos)| self.cnt[pos])
-    }
-}
-
 /// Outcome of one SCC's joint evaluation: the surviving tentative assumptions
 /// `(data node, SCC pattern bits)` in ascending node order — the pairs the
 /// commit step promotes — plus the statistics of the evaluation itself
@@ -1977,17 +1979,40 @@ struct SccVerdict {
 /// its greatest fixpoint with tentative-support counters, and report the
 /// survivors. Mutates nothing — promotion is the caller's ordered commit.
 ///
-/// When `fan_out` is set, the three scan-shaped steps run chunked on scoped
+/// The scratch is dense and addresses the gathered candidates by their
+/// *position* in the gathered list (ascending node order):
+///
+/// * a slot → position map finds a child's position with one slot lookup
+///   and one load;
+/// * the live tentative bits are one word per position;
+/// * `tsup` is one row of `|comp|` counters per position, `tsup[i][u2] =
+///   |children(v_i) ∩ tentative(u2)|` (`u2`'s rank within the component
+///   picks the column), biased by [`REAL_SUPPORT`] where the pair also has
+///   real counter support, so that a counter reaches zero exactly when its
+///   pair has lost every support;
+/// * the *tentative-induced subgraph* — every edge between two gathered
+///   candidates — is recorded while `tsup` is derived and reversed into
+///   CSR, so the elimination cascade walks an eliminated candidate's
+///   tentative parents in a local array instead of `graph.parents` plus a
+///   lookup per parent.
+///
+/// All of it is allocated by this call and freed when it returns: 4 bytes
+/// per slot of the pattern, at most `32 + 4·|comp|` bytes per gathered
+/// candidate and 8 bytes per tentative edge, plus 8 bytes per queued
+/// elimination. No scratch outlives the evaluation.
+///
+/// When `fan_out` is set, the two scan-shaped steps run chunked on scoped
 /// threads, each with a deterministic ordered merge, so the verdict is
 /// identical for every chunking:
 ///
 /// * the **tentative gather** — a scan of every candidate slot — partitions
 ///   the node range on `plan` and concatenates in range order;
-/// * the **`tsup` derivation** chunks the gathered candidates; a source `v`'s
-///   counters are written only by `v`'s chunk, so the merged map is a
-///   disjoint union;
-/// * the **viability seed scan** chunks the gathered candidates and
-///   concatenates the non-viable seeds in chunk order.
+/// * the **derivation** chunks the gathered positions: each chunk writes
+///   the disjoint run of `tsup` rows of its own positions, and returns its
+///   tentative edges and its non-viable pairs (the elimination seeds), both
+///   concatenated in chunk order. A row depends only on its source's
+///   children, so a pair's viability is checked as soon as its row is
+///   complete.
 ///
 /// The elimination cascade itself stays on the calling thread: it is
 /// `O(eliminated pairs)`, confluent (the greatest fixpoint is unique and
@@ -2002,9 +2027,9 @@ fn evaluate_scc_joint(
 ) -> SccVerdict {
     let mut stats = AffStats::default();
 
-    // tentative[v] = pattern nodes of this SCC that v is still assumed to
-    // match (matches are kept implicitly: they can never be invalidated by
-    // insertions). Sparse: only candidate nodes appear, in ascending order.
+    // The tentative candidates: every slot still assumed to match some
+    // pattern node of this SCC (matches are kept implicitly: they can never
+    // be invalidated by insertions), in ascending node order.
     let view = ctx.view;
     let gathered: Vec<Tentative> = if fan_out && plan.count > 1 && ctx.nv >= PARALLEL_WORK_THRESHOLD
     {
@@ -2024,92 +2049,95 @@ fn evaluate_scc_joint(
     if gathered.is_empty() {
         return SccVerdict { survivors: Vec::new(), stats };
     }
-    let mut tentative: FastHashMap<u32, u64> = FastHashMap::default();
-    for g in &gathered {
-        tentative.insert(g.v, g.bits);
+    let n = gathered.len();
+    let mut pos_of = vec![NOT_GATHERED; view.layout.len];
+    for (i, g) in gathered.iter().enumerate() {
+        pos_of[g.slot as usize] = i as u32;
     }
+    let mut live: Vec<u64> = gathered.iter().map(|g| g.bits).collect();
+    let width = comp_mask.count_ones() as usize;
 
-    // tsup[(v, u2)] = |children(v) ∩ tentative(u2)| for u2 in the SCC, and
-    // the elimination seeds: tentative pairs without full (real or
-    // tentative) support. Both scans are chunked over the gathered list.
-    let chunk_plan = ShardPlan::new(gathered.len(), plan.count);
-    let chunked = fan_out && chunk_plan.count > 1 && gathered.len() >= PARALLEL_WORK_THRESHOLD;
-    let mut tsup: FastHashMap<(u32, u32), u32> = FastHashMap::default();
-    if chunked {
-        let tentative = &tentative;
-        let partials: Vec<TsupChunk> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..chunk_plan.count)
-                .map(|shard| {
-                    let chunk = &gathered[chunk_plan.range(shard)];
-                    scope.spawn(move || derive_tsup_chunk(graph, tentative, chunk))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("propCC tsup panicked")).collect()
-        });
-        for (partial, updates) in partials {
-            // Sources are owned by exactly one chunk: disjoint-key union.
-            tsup.extend(partial);
-            stats.counter_updates += updates;
-        }
-    } else {
-        let (partial, updates) = derive_tsup_chunk(graph, &tentative, &gathered);
-        tsup = partial;
-        stats.counter_updates += updates;
-    }
-
-    let mut eliminate: Vec<(u32, u32)> = if chunked {
-        let tsup = &tsup;
-        let chunks: Vec<Vec<(u32, u32)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..chunk_plan.count)
-                .map(|shard| {
-                    let chunk = &gathered[chunk_plan.range(shard)];
-                    scope.spawn(move || seed_eliminations_chunk(ctx, tsup, chunk))
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("propCC seed panicked")).collect()
-        });
-        chunks.concat()
-    } else {
-        seed_eliminations_chunk(ctx, &tsup, &gathered)
+    // tsup, the tentative edges and the elimination seeds — tentative pairs
+    // without full (real or tentative) support — in one pass, chunked over
+    // the gathered positions.
+    let chunk_plan = ShardPlan::new(n, plan.count);
+    let chunked = fan_out && chunk_plan.count > 1 && n >= PARALLEL_WORK_THRESHOLD;
+    let mut tsup = vec![0u32; n * width];
+    let columns = tsup_columns(comp_mask);
+    let set = TentativeSet {
+        ctx,
+        list: &gathered,
+        bits: &live,
+        pos_of: &pos_of,
+        comp_mask,
+        columns: &columns,
     };
+    let (edges, mut eliminate) = if chunked {
+        let partials: Vec<(TentativeEdges, Vec<(u32, u32)>)> = std::thread::scope(|scope| {
+            let mut rest = tsup.as_mut_slice();
+            let mut handles = Vec::with_capacity(chunk_plan.count);
+            for shard in 0..chunk_plan.count {
+                let range = chunk_plan.range(shard);
+                let (rows, tail) = rest.split_at_mut(range.len() * width);
+                rest = tail;
+                handles.push(scope.spawn(move || derive_chunk(set, graph, range, rows)));
+            }
+            handles.into_iter().map(|h| h.join().expect("propCC derivation panicked")).collect()
+        });
+        let mut edges = TentativeEdges::default();
+        let mut eliminate = Vec::new();
+        for (partial, seeds) in partials {
+            edges.degree.extend(partial.degree);
+            edges.targets.extend(partial.targets);
+            edges.updates += partial.updates;
+            eliminate.extend(seeds);
+        }
+        (edges, eliminate)
+    } else {
+        derive_chunk(set, graph, 0..n, &mut tsup)
+    };
+    stats.counter_updates += edges.updates;
     // One visit per tentative pair scanned for viability; the scan itself is
     // embarrassingly parallel, so count it from the gathered bits.
-    stats.nodes_visited += gathered.iter().map(|g| g.bits.count_ones() as usize).sum::<usize>();
+    stats.nodes_visited += live.iter().map(|bits| bits.count_ones() as usize).sum::<usize>();
 
     // Eliminate with cascade: dropping the assumption (u, v) costs its
     // tentative parents one unit of support for u. Confluent — the stats
     // below count sets that are independent of pop order.
-    while let Some((u, v)) = eliminate.pop() {
-        let Some(bits) = tentative.get_mut(&v) else { continue };
+    let parents = edges.reverse(n);
+    while let Some((u, j)) = eliminate.pop() {
+        let (u, j) = (u as usize, j as usize);
         let bit = 1u64 << u;
-        if *bits & bit == 0 {
+        if live[j] & bit == 0 {
             continue;
         }
         stats.nodes_visited += 1;
-        *bits &= !bit;
-        if *bits == 0 {
-            tentative.remove(&v);
-        }
-        let pmask = ctx.parent_masks[u as usize] & comp_mask;
-        for &p in graph.parents(NodeId(v)) {
-            let Some(counter) = tsup.get_mut(&(p.0, u)) else { continue };
+        live[j] &= !bit;
+        let pmask = ctx.parent_masks[u] & comp_mask;
+        let column = columns[u] as usize;
+        for &i in parents.of(j) {
+            let i = i as usize;
+            let counter = &mut tsup[i * width + column];
             debug_assert!(*counter > 0, "tentative support underflow");
             *counter -= 1;
             stats.counter_updates += 1;
-            if *counter == 0 && ctx.counter(p.index(), u as usize) == 0 {
-                // Every tentative assumption on p that relied on the pattern
-                // edge (u_par, u) may now be dead.
-                if let Some(&pbits) = tentative.get(&p.0) {
-                    for u_par in Bits(pbits & pmask) {
-                        eliminate.push((u_par as u32, p.0));
-                    }
+            if *counter == 0 {
+                // v_i lost its last support for u: every tentative
+                // assumption on v_i that relied on the pattern edge
+                // (u_par, u) is dead.
+                for u_par in Bits(live[i] & pmask) {
+                    eliminate.push((u_par as u32, i as u32));
                 }
             }
         }
     }
 
-    let mut survivors: Vec<(u32, u64)> = tentative.into_iter().collect();
-    survivors.sort_unstable_by_key(|&(v, _)| v);
+    let survivors = gathered
+        .iter()
+        .zip(&live)
+        .filter(|&(_, &bits)| bits != 0)
+        .map(|(g, &bits)| (g.v, bits))
+        .collect();
     SccVerdict { survivors, stats }
 }
 
@@ -2135,59 +2163,156 @@ fn gather_tentative(view: SlotView<'_>, comp_mask: u64, nodes: Range<usize>) -> 
         .collect()
 }
 
-/// One chunk's tentative-support counters plus the number of increments
-/// performed deriving them (the counter-update work of the derivation).
-type TsupChunk = (FastHashMap<(u32, u32), u32>, usize);
+/// Marks a slot whose node was not gathered in the slot → position map.
+const NOT_GATHERED: u32 = u32::MAX;
 
-/// Derives the tentative-support counters of one chunk of candidate sources:
-/// `tsup[(v, u2)] = |children(v) ∩ tentative(u2)|`.
-fn derive_tsup_chunk(
-    graph: &DataGraph,
-    tentative: &FastHashMap<u32, u64>,
-    chunk: &[Tentative],
-) -> TsupChunk {
-    let mut tsup: FastHashMap<(u32, u32), u32> = FastHashMap::default();
-    let mut updates = 0usize;
-    for &Tentative { v, .. } in chunk {
-        for &w in graph.children(NodeId(v)) {
-            let Some(&wbits) = tentative.get(&w.0) else { continue };
-            for u2 in Bits(wbits) {
-                *tsup.entry((v, u2 as u32)).or_insert(0) += 1;
-                updates += 1;
-            }
-        }
+/// Added to a `tsup` counter whose pair also has real counter support: no
+/// node has 2³¹ children, so such a counter never reaches zero.
+const REAL_SUPPORT: u32 = 1 << 31;
+
+/// `columns[u2]`: the `tsup` column of component member `u2`, its rank
+/// among the members (a table, so the hot loops need no popcount).
+fn tsup_columns(comp_mask: u64) -> [u8; MAX_PATTERN_NODES] {
+    let mut columns = [0u8; MAX_PATTERN_NODES];
+    for (column, u2) in Bits(comp_mask).enumerate() {
+        columns[u2] = column as u8;
     }
-    (tsup, updates)
+    columns
 }
 
-/// Scans one chunk of tentative pairs for viability, returning the
-/// non-viable ones in chunk order. A pair `(u, v)` is viable when every
-/// pattern edge out of `u` has either real counter support at `v` or — for
-/// SCC-internal edges — tentative support.
-fn seed_eliminations_chunk(
-    ctx: SccEvalContext<'_>,
-    tsup: &FastHashMap<(u32, u32), u32>,
-    chunk: &[Tentative],
-) -> Vec<(u32, u32)> {
-    let mut eliminate = Vec::new();
-    for &Tentative { v, slot, bits } in chunk {
+/// The gathered candidates of one SCC evaluation, addressed by position —
+/// what a derivation chunk reads.
+#[derive(Clone, Copy)]
+struct TentativeSet<'a> {
+    ctx: SccEvalContext<'a>,
+    /// The gathered candidates, ascending by node.
+    list: &'a [Tentative],
+    /// The tentative bits of every position, before any elimination: one
+    /// dense word each, for the lookups of the children's bits.
+    bits: &'a [u64],
+    /// `pos_of[s]`: the position of slot `s` in `list`, or [`NOT_GATHERED`].
+    pos_of: &'a [u32],
+    comp_mask: u64,
+    /// [`tsup_columns`] of `comp_mask`.
+    columns: &'a [u8; MAX_PATTERN_NODES],
+}
+
+impl TentativeSet<'_> {
+    /// The position of node `v`, if it was gathered.
+    #[inline]
+    fn position(&self, v: usize) -> Option<usize> {
+        let i = self.pos_of[self.ctx.view.layout.slot(v)?];
+        (i != NOT_GATHERED).then_some(i as usize)
+    }
+}
+
+/// The tentative edges of a run of gathered sources: `degree[i]` targets
+/// per source, in source order, each target a position. `updates` counts
+/// the `tsup` increments that deriving them performed (the counter-update
+/// work of the derivation).
+#[derive(Default)]
+struct TentativeEdges {
+    degree: Vec<u32>,
+    targets: Vec<u32>,
+    updates: usize,
+}
+
+impl TentativeEdges {
+    /// Reverses the edges of every gathered source (`n` positions) into
+    /// CSR over their targets.
+    fn reverse(self, n: usize) -> TentativeParents {
+        // Counting sort by target: `off[j]` counts j's parents, prefix sums
+        // turn it into the end of j's run, and filling every run back to
+        // front while walking the sources in descending order leaves
+        // `off[j]` at the run's start, with the run ascending.
+        let mut off = vec![0u32; n + 1];
+        for &j in &self.targets {
+            off[j as usize] += 1;
+        }
+        for j in 1..=n {
+            off[j] += off[j - 1];
+        }
+        let mut src = vec![0u32; self.targets.len()];
+        let mut end = self.targets.len();
+        for (i, &degree) in self.degree.iter().enumerate().rev() {
+            let start = end - degree as usize;
+            for &j in &self.targets[start..end] {
+                off[j as usize] -= 1;
+                src[off[j as usize] as usize] = i as u32;
+            }
+            end = start;
+        }
+        TentativeParents { off, src }
+    }
+}
+
+/// The tentative parents of every gathered candidate: the positions of the
+/// sources of position `j`'s incoming tentative edges are
+/// `src[off[j]..off[j + 1]]`, one per edge, ascending.
+struct TentativeParents {
+    off: Vec<u32>,
+    src: Vec<u32>,
+}
+
+impl TentativeParents {
+    #[inline]
+    fn of(&self, j: usize) -> &[u32] {
+        &self.src[self.off[j] as usize..self.off[j + 1] as usize]
+    }
+}
+
+/// Derives the gathered sources at positions `range`: their `tsup` rows
+/// (`tsup`, this chunk's rows), their tentative edges, and their non-viable
+/// tentative pairs as `(pattern node, position)` in position order. A pair
+/// `(u, v)` is viable when every pattern edge out of `u` has either real
+/// counter support at `v` or — for SCC-internal edges — tentative support.
+fn derive_chunk(
+    set: TentativeSet<'_>,
+    graph: &DataGraph,
+    range: Range<usize>,
+    tsup: &mut [u32],
+) -> (TentativeEdges, Vec<(u32, u32)>) {
+    let ctx = set.ctx;
+    let width = set.comp_mask.count_ones() as usize;
+    let mut edges =
+        TentativeEdges { degree: Vec::with_capacity(range.len()), ..TentativeEdges::default() };
+    let mut seeds = Vec::new();
+    for (row, i) in tsup.chunks_exact_mut(width).zip(range) {
+        let Tentative { v, slot, bits } = set.list[i];
+        let before = edges.targets.len();
+        for &w in graph.children(NodeId(v)) {
+            let Some(j) = set.position(w.index()) else { continue };
+            let wbits = set.bits[j];
+            for u2 in Bits(wbits) {
+                row[set.columns[u2] as usize] += 1;
+            }
+            edges.updates += wbits.count_ones() as usize;
+            edges.targets.push(j as u32);
+        }
+        edges.degree.push((edges.targets.len() - before) as u32);
+
         let s = slot as usize;
         let need = ctx.view.layout.need(s);
-        let row = &ctx.cnt[ctx.view.layout.row(s)];
-        let viable = |u: usize| {
-            Bits(ctx.view.child_mask[u]).all(|u2| {
-                row[row_offset(need, u2)] > 0
-                    || (ctx.scc_child_mask[u] & (1 << u2) != 0
-                        && tsup.get(&(v, u2 as u32)).is_some_and(|&t| t > 0))
-            })
-        };
+        let cnt = &ctx.cnt[ctx.view.layout.row(s)];
+        for u2 in Bits(set.comp_mask & need) {
+            if cnt[row_offset(need, u2)] > 0 {
+                row[set.columns[u2] as usize] += REAL_SUPPORT;
+            }
+        }
         for u in Bits(bits) {
-            if !viable(u) {
-                eliminate.push((u as u32, v));
+            let viable = Bits(ctx.view.child_mask[u]).all(|u2| {
+                if ctx.scc_child_mask[u] & (1 << u2) != 0 {
+                    row[set.columns[u2] as usize] > 0
+                } else {
+                    cnt[row_offset(need, u2)] > 0
+                }
+            });
+            if !viable {
+                seeds.push((u as u32, i as u32));
             }
         }
     }
-    eliminate
+    (edges, seeds)
 }
 
 /// Which kind of drain a round executes.

@@ -53,9 +53,14 @@
 //! a live `BENCH_incsim.json`): with a unit update costing `u` ns and a
 //! batched update `c` ns, the per-batch fixed cost is `F ≈ u − c`, and a
 //! coalesced batch of `n ≥ F / (0.05·c)` updates is within 5% of the batch
-//! path's asymptotic per-update cost. The committed artifact (549 ns unit,
-//! 395 ns/update at batch size 2000) puts that knee at **8 updates**, which
-//! is the default [`IngestOptions::min_batch`]. This threshold controller is
+//! path's asymptotic per-update cost. The default
+//! [`IngestOptions::min_batch`] of **8 updates** is the knee of an earlier
+//! artifact (549 ns unit, 395 ns/update at batch size 2000). The committed
+//! `BENCH_incsim.json` gives `u` as `unit_update.counter_median_ns` and `c`
+//! as `batch.counter_median_ms` over `workload.batch_size`, which the same
+//! formula turns into a knee of 13; the default is left at 8, and
+//! [`IngestOptions::from_artifact`] yields the current knee for a caller
+//! who wants it. This threshold controller is
 //! the data-driven v1 of the reinforcement-learned adaptivity of Kanezashi
 //! et al. (see `PAPERS.md`).
 //!
@@ -136,8 +141,8 @@ pub struct IngestOptions {
     pub queue_capacity: usize,
     /// Floor of the adaptive coalescing cap — the batch size the drainer
     /// relaxes to when the queue keeps running dry (default 8, the measured
-    /// amortisation knee of the committed bench artifact; see the module
-    /// docs and [`IngestOptions::from_artifact`]).
+    /// amortisation knee of an earlier bench artifact; see the module docs
+    /// and [`IngestOptions::from_artifact`]).
     pub min_batch: usize,
     /// Ceiling of the adaptive coalescing cap under sustained bursts
     /// (default 2048, the batch-sweep regime the committed artifact

@@ -594,6 +594,25 @@ mod tests {
     }
 
     #[test]
+    fn bounded_registrations_keep_the_interned_lists() {
+        let (g, _) = chain_graph();
+        let mut svc: MatchService<BoundedIndex> = MatchService::with_shards(g, 1);
+        let mut p = Pattern::new();
+        let u = p.add_node(Predicate::label("A"));
+        let v = p.add_node(Predicate::label("C"));
+        p.add_edge(u, v, EdgeBound::Hops(2));
+        let holders = |svc: &MatchService<BoundedIndex>| -> Vec<usize> {
+            svc.interner.entries.iter().map(|entry| Arc::strong_count(&entry.nodes)).collect()
+        };
+        // Each registration holds one more reference to both lists instead
+        // of a copy of them.
+        svc.register(&p).unwrap();
+        assert_eq!(holders(&svc), vec![2, 2]);
+        svc.register(&p).unwrap();
+        assert_eq!(holders(&svc), vec![3, 3]);
+    }
+
+    #[test]
     fn bounded_service_shares_one_landmark_index() {
         let mut g = DataGraph::new();
         let a = g.add_labeled_node("A");

@@ -30,7 +30,10 @@
 //! adjacency-identical graphs, and agreement with a from-scratch
 //! recomputation. One stream runs on a > `PARALLEL_WORK_THRESHOLD`-node graph
 //! so the scoped-thread branches actually spawn. A bounded-simulation mirror
-//! drives `promote_sccs` through the same churn on a smaller graph.
+//! drives `promote_sccs` through the same churn on a smaller graph. The
+//! multi-SCC stream and the bridge storm also pin their summed work
+//! counters to constants, so a rewrite that changed the algorithm's work at
+//! every shard count alike would still fail.
 
 use igpm::core::{match_bounded_with_matrix, match_simulation};
 use igpm::prelude::*;
@@ -154,9 +157,17 @@ fn churn_pattern(kind: usize) -> Pattern {
     p
 }
 
+/// The work counters of an [`AffStats`] record that measure how much the
+/// algorithm did, as `(nodes_visited, counter_updates, matches_added,
+/// matches_removed)`.
+fn work(stats: AffStats) -> (usize, usize, usize, usize) {
+    (stats.nodes_visited, stats.counter_updates, stats.matches_added, stats.matches_removed)
+}
+
 /// Drives one replica per shard count through the same churn stream and
 /// checks bit-identity + from-scratch agreement after every batch.
 /// `grow_every > 0` splices a fresh node into a ring between batches.
+/// Returns the 1-shard replica's [`AffStats`] summed over the stream.
 fn drive_scc_churn(
     world: &RingWorld,
     pattern: &Pattern,
@@ -164,7 +175,7 @@ fn drive_scc_churn(
     total: usize,
     grow_every: usize,
     context: &str,
-) {
+) -> AffStats {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut replicas: Vec<(DataGraph, SimulationIndex)> = SHARD_COUNTS
         .iter()
@@ -185,6 +196,7 @@ fn drive_scc_churn(
 
     let mut applied = 0usize;
     let mut round = 0usize;
+    let mut summed = AffStats::default();
     let mut pending_splice: Option<(NodeId, NodeId, NodeId)> = None;
     while applied < total {
         round += 1;
@@ -221,6 +233,7 @@ fn drive_scc_churn(
                 ),
             }
         }
+        summed.merge(reference_stats.expect("SHARD_COUNTS is not empty").stats);
         let (reference_graph, reference_index) = {
             let (g, idx) = &replicas[0];
             (g.clone(), idx.aux_snapshot())
@@ -263,6 +276,7 @@ fn drive_scc_churn(
         }
     }
     assert!(applied >= total, "{context}: stream too short ({applied} updates)");
+    summed
 }
 
 #[test]
@@ -284,7 +298,12 @@ fn multi_scc_pattern_survives_scc_churn() {
     // dirty fallback for the second — the order-sensitivity this suite is
     // specifically after.
     let world = ring_world(6, 9, 3);
-    drive_scc_churn(&world, &churn_pattern(2), 0xD00D, 1_100, 5, "multi-SCC pattern");
+    let summed = drive_scc_churn(&world, &churn_pattern(2), 0xD00D, 1_100, 5, "multi-SCC pattern");
+    // The algorithm's work over the whole stream, pinned: the per-batch
+    // comparisons above only relate shard counts to each other, so a
+    // rewrite that changed the work at every shard count alike would pass
+    // them.
+    assert_eq!(work(summed), (4894, 8446, 30, 24), "multi-SCC stream: work counters moved");
 }
 
 #[test]
@@ -411,6 +430,7 @@ fn bridge_storm_flips_the_whole_match() {
         })
         .collect();
 
+    let mut summed = AffStats::default();
     for round in 0..12 {
         let mut batch = BatchUpdate::new();
         match round % 4 {
@@ -436,6 +456,7 @@ fn bridge_storm_flips_the_whole_match() {
                 }
             }
         }
+        summed.merge(reference_stats.expect("SHARD_COUNTS is not empty").stats);
         let expected = match_simulation(&pattern, &replicas[0].0);
         for (i, &shards) in SHARD_COUNTS.iter().enumerate() {
             let (_, index) = &replicas[i];
@@ -452,6 +473,8 @@ fn bridge_storm_flips_the_whole_match() {
             _ => {}
         }
     }
+    // Pinned like the multi-SCC stream's work (see there).
+    assert_eq!(work(summed), (33612, 50400, 16800, 16800), "bridge storm: work counters moved");
 }
 
 #[test]
