@@ -17,61 +17,16 @@
 //!
 //! The distance oracle is pluggable, giving the three `Match` variants of
 //! Exp-2 (`Matrix+Match`, `BFS+Match`, `2-hop+Match`) plus the landmark-based
-//! oracle used by incremental bounded simulation.
+//! oracle whose distance vectors incremental bounded simulation maintains.
+//! Incremental bounded simulation's own cold-start build
+//! ([`crate::BoundedIndex`]) queries no oracle: it derives the step-2 pairs
+//! from one bounded BFS per source candidate.
 
 use crate::simulation::candidates;
 use crate::stats::AffStats;
 use igpm_distance::{satisfies_bound, BfsOracle, DistanceMatrix, DistanceOracle, TwoHopLabels};
 use igpm_graph::hash::{FastHashMap, FastHashSet};
-use igpm_graph::shard::{MAX_SHARDS, PARALLEL_EVAL_THRESHOLD};
-use igpm_graph::{
-    DataGraph, EdgeBound, MatchRelation, NodeId, Pattern, PatternNodeId, ResultGraph,
-};
-
-/// Evaluates the distance bound of every `(source, target)` pair — the
-/// row-major `sources × targets` enumeration — against `oracle`. Pure reads;
-/// chunked across scoped threads when `shards > 1` and there are enough
-/// pairs to amortise the spawns ([`PARALLEL_EVAL_THRESHOLD`]). The verdict
-/// vector is identical for every shard count: the split changes only *where*
-/// each query runs, never its answer, so the sharded cold-start builds that
-/// consume these verdicts in enumeration order are bit-identical to the
-/// sequential ones.
-///
-/// Requires a `Sync` oracle (e.g. [`igpm_distance::LandmarkIndex`],
-/// [`DistanceMatrix`]); the caching [`BfsOracle`] is not one, which is why
-/// the generic [`match_bounded`] keeps its sequential evaluation loop.
-pub(crate) fn evaluate_pair_bounds<O: DistanceOracle + ?Sized + Sync>(
-    graph: &DataGraph,
-    oracle: &O,
-    sources: &[NodeId],
-    targets: &[NodeId],
-    bound: EdgeBound,
-    shards: usize,
-) -> Vec<bool> {
-    let total = sources.len() * targets.len();
-    let mut verdicts = vec![false; total];
-    let eval = |base: usize, chunk: &mut [bool]| {
-        for (i, slot) in chunk.iter_mut().enumerate() {
-            let idx = base + i;
-            let v = sources[idx / targets.len()];
-            let w = targets[idx % targets.len()];
-            *slot = satisfies_bound(graph, oracle, v, w, bound);
-        }
-    };
-    let shards = shards.clamp(1, MAX_SHARDS);
-    if shards == 1 || total < PARALLEL_EVAL_THRESHOLD {
-        eval(0, &mut verdicts);
-        return verdicts;
-    }
-    let chunk = total.div_ceil(shards);
-    let eval = &eval;
-    std::thread::scope(|scope| {
-        for (c_idx, slice) in verdicts.chunks_mut(chunk).enumerate() {
-            scope.spawn(move || eval(c_idx * chunk, slice));
-        }
-    });
-    verdicts
-}
+use igpm_graph::{DataGraph, MatchRelation, NodeId, Pattern, PatternNodeId, ResultGraph};
 
 /// Computes the maximum bounded simulation `M^k_sim(P, G)` using `oracle` for
 /// distance queries. Returns the empty relation when `P ⋬_bsim G`.

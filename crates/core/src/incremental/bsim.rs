@@ -19,6 +19,15 @@
 //! both maintain these counters, so demotion/promotion checks are `O(1)`
 //! counter reads per pattern edge instead of scans over the pair targets.
 //!
+//! The cold-start build reads no distance index. It takes the `desc` sets of
+//! `Match` (Fig. 3) literally: for every pattern edge `(u, u')` with bound
+//! `k` it runs one nonempty-path BFS per candidate `v` of `u`, stopped at
+//! depth `k` (unlimited for `*`), and pairs `v` with the candidates of `u'`
+//! the search reaches (see [`BoundedIndex::build_with_shards`]). The balls
+//! run sequentially; what the build still shards is the candidate scan and,
+//! for a standalone index, the landmark BFS rows, which only the batch path
+//! reads.
+//!
 //! After an update only the pairs with an endpoint in the affected area (the
 //! nodes whose distance vectors changed, plus the update endpoints) can change
 //! (see the covering argument in `DESIGN.md`), so `IncBMatch` re-evaluates
@@ -26,7 +35,7 @@
 //! them — the reduction of bounded simulation to simulation over the result
 //! pairs stated by Proposition 6.1.
 //!
-//! The pair re-evaluation — the distance-query-heavy part of the batch path —
+//! The pair re-evaluation — the landmark-query-heavy part of the batch path —
 //! is split into a read-only *evaluate* step and a sequential *commit* step.
 //! The evaluate step runs the affected `(edge, source, target)` bound checks
 //! on scoped threads when the batch is large enough
@@ -34,7 +43,6 @@
 //! the fixed enumeration order, so results (including [`AffStats`]) are
 //! bit-identical for every shard count.
 
-use crate::bounded::evaluate_pair_bounds;
 use crate::incremental::sim::MAX_PATTERN_NODES;
 use crate::incremental::{
     finalize_delta, panic_message, strip_out_of_range, unwrap_apply, ApplyOutcome, BuildError,
@@ -50,6 +58,7 @@ use igpm_graph::hash::{FastHashMap, FastHashSet};
 use igpm_graph::shard::{
     configured_shards, ShardPlan, PARALLEL_EVAL_THRESHOLD, PARALLEL_WORK_THRESHOLD,
 };
+use igpm_graph::traversal::{nodes_within, BallScratch, Direction};
 use igpm_graph::update::{validate_batch, StagePanic};
 use igpm_graph::{
     ApplyError, BatchUpdate, DataGraph, MatchDelta, MatchRelation, NodeId, Pattern, PatternEdge,
@@ -135,9 +144,9 @@ pub struct BsimAuxSnapshot {
 
 impl BoundedIndex {
     /// Builds the index: landmark vectors, cc/cs/ss pair sets and the initial
-    /// maximum match (the batch `Matchbs` step), with the landmark BFS runs
-    /// and the pairwise distance checks sharded across [`configured_shards`]
-    /// threads (see [`BoundedIndex::build_with_shards`]).
+    /// maximum match (the batch `Matchbs` step), with the candidate scan and
+    /// the landmark BFS rows sharded across [`configured_shards`] threads
+    /// (see [`BoundedIndex::build_with_shards`]).
     pub fn build(pattern: &Pattern, graph: &DataGraph) -> Self {
         Self::build_with_shards(pattern, graph, configured_shards())
     }
@@ -163,21 +172,25 @@ impl BoundedIndex {
     }
 
     /// [`BoundedIndex::build`] with an explicit shard count (`IGPM_SHARDS`
-    /// and machine parallelism are ignored). `shards = 1` is the sequential
-    /// engine; every count produces bit-identical masks, pair sets, support
-    /// counters, cached matches and build [`AffStats`]
-    /// ([`BoundedIndex::build_stats`]): the landmark BFS rows are independent
-    /// per landmark, the pairwise bound checks are pure reads evaluated in a
-    /// fixed enumeration order (`evaluate_pair_bounds`) and committed
-    /// sequentially, and the initial refinement is a deterministic fixpoint.
+    /// and machine parallelism are ignored). The count shards the candidate
+    /// scan and the landmark BFS rows; the pair sets come from one bounded
+    /// BFS per source candidate per pattern edge, run sequentially and
+    /// without reading the landmark index (`rebuild_all_pairs`).
+    /// `shards = 1` is the sequential engine; every count produces
+    /// bit-identical masks, pair sets, support counters, cached matches and
+    /// build [`AffStats`] ([`BoundedIndex::build_stats`]): the candidate
+    /// lists and the landmark rows are merged in a fixed order, the balls
+    /// are committed source by source with targets ascending, and the
+    /// initial refinement is a deterministic fixpoint.
     pub fn build_with_shards(pattern: &Pattern, graph: &DataGraph, shards: usize) -> Self {
         let landmarks =
             LandmarkIndex::build_with_shards(graph, LandmarkSelection::VertexCover, shards);
         Self::build_with_landmarks_with_shards(pattern, graph, landmarks, shards)
     }
 
-    /// Builds the index reusing an existing landmark index (must be exact for
-    /// the current graph).
+    /// Builds the index around an existing landmark index, which the batch
+    /// path then maintains and queries (it must be exact for the current
+    /// graph; the build itself does not read it).
     ///
     /// # Panics
     /// Panics if the pattern has more than [`MAX_PATTERN_NODES`] nodes.
@@ -190,7 +203,7 @@ impl BoundedIndex {
     }
 
     /// [`BoundedIndex::build_with_landmarks`] with an explicit shard count
-    /// for the pairwise distance evaluation.
+    /// for the candidate scan.
     ///
     /// # Panics
     /// Panics if the pattern has more than [`MAX_PATTERN_NODES`] nodes.
@@ -209,7 +222,7 @@ impl BoundedIndex {
         // merged in node order) — identical lists for every shard count.
         let cand_lists =
             candidates_with_shards(pattern, graph, shards).into_iter().map(Arc::new).collect();
-        Self::build_with_landmarks_from_candidates(pattern, graph, landmarks, cand_lists, shards)
+        Self::build_with_landmarks_from_candidates(pattern, graph, landmarks, cand_lists)
     }
 
     /// Core of the build: seeds masks and pair sets from already-computed
@@ -223,7 +236,6 @@ impl BoundedIndex {
         graph: &DataGraph,
         landmarks: LandmarkIndex,
         cand_lists: Vec<Arc<Vec<NodeId>>>,
-        shards: usize,
     ) -> Self {
         debug_assert!(pattern.node_count() <= MAX_PATTERN_NODES);
         debug_assert_eq!(cand_lists.len(), pattern.node_count());
@@ -269,7 +281,7 @@ impl BoundedIndex {
                 index.match_bits[v.index()] |= 1 << u;
             }
         }
-        index.rebuild_all_pairs(graph, &cand_lists, shards);
+        index.rebuild_all_pairs(graph, &cand_lists);
         index.cand_lists = cand_lists;
         index.build_stats = index.refine_initial_matches();
         index
@@ -866,50 +878,36 @@ impl BoundedIndex {
     // Pair + support maintenance
     // ------------------------------------------------------------------
 
-    /// Derives the pair sets and support counters of every pattern edge. The
-    /// distance checks — the dominant cost of the cold start — are evaluated
-    /// through [`evaluate_pair_bounds`] (read-only, chunked onto scoped
-    /// threads when `shards > 1` and the pair count warrants it) and the
-    /// verdicts are committed sequentially in enumeration order, so the
-    /// resulting structures are identical for every shard count.
-    fn rebuild_all_pairs(
-        &mut self,
-        graph: &DataGraph,
-        cand_lists: &[Arc<Vec<NodeId>>],
-        shards: usize,
-    ) {
-        // Evaluation is blocked by source rows so the verdict buffer stays
-        // bounded (≈ EVAL_BLOCK_PAIRS booleans) instead of O(|sources| ·
-        // |targets|); blocks run in enumeration order and each block commits
-        // before the next evaluates, so the structures are built by exactly
-        // the same insertion sequence as an unblocked sequential scan.
-        const EVAL_BLOCK_PAIRS: usize = 1 << 22;
+    /// Derives the pair sets and support counters of every pattern edge
+    /// `e = (u, u')` from one BFS ball per source candidate `v ∈ cand(u)`:
+    /// the nodes a nonempty path of at most `k` hops reaches from `v`
+    /// ([`nodes_within`]; unlimited depth for `*`), masked by `cand(u')`.
+    /// The search is seeded at `v`'s children, so `v` reaches itself only
+    /// around a cycle — exactly the reflexive-pair rule of
+    /// [`satisfies_bound`]. Sources are taken in candidate order and each
+    /// ball's targets ascending, the row-major order of a
+    /// `cand(u) × cand(u')` scan, so the hash-backed structures see one fixed
+    /// insertion sequence. No distance index is read: the cost is one
+    /// bounded BFS per source candidate per pattern edge, sharing one stamp
+    /// array ([`BallScratch`]).
+    fn rebuild_all_pairs(&mut self, graph: &DataGraph, cand_lists: &[Arc<Vec<NodeId>>]) {
+        let mut scratch = BallScratch::default();
         for (e_idx, edge) in self.pattern.edges().iter().enumerate() {
-            let sources = &cand_lists[edge.from.index()];
-            let targets = &cand_lists[edge.to.index()];
+            let max_hops = edge.bound.finite().unwrap_or(u32::MAX);
+            let to_bit = 1u64 << edge.to.index();
             let mut forward: FastHashMap<NodeId, FastHashSet<NodeId>> = FastHashMap::default();
             let mut backward: FastHashMap<NodeId, FastHashSet<NodeId>> = FastHashMap::default();
             let mut support: FastHashMap<NodeId, u32> = FastHashMap::default();
-            let rows_per_block = (EVAL_BLOCK_PAIRS / targets.len().max(1)).max(1);
-            for block in sources.chunks(rows_per_block) {
-                let verdicts = evaluate_pair_bounds(
-                    graph,
-                    &self.landmarks,
-                    block,
-                    targets,
-                    edge.bound,
-                    shards,
-                );
-                for (i, &v) in block.iter().enumerate() {
-                    for (j, &w) in targets.iter().enumerate() {
-                        if verdicts[i * targets.len() + j] {
-                            forward.entry(v).or_default().insert(w);
-                            backward.entry(w).or_default().insert(v);
-                            // All targets are initial matches, so the initial
-                            // support is simply the pair count.
-                            *support.entry(v).or_insert(0) += 1;
-                        }
+            for &v in cand_lists[edge.from.index()].iter() {
+                for &w in nodes_within(graph, v, Direction::Forward, max_hops, &mut scratch) {
+                    if self.cand_bits[w.index()] & to_bit == 0 {
+                        continue;
                     }
+                    forward.entry(v).or_default().insert(w);
+                    backward.entry(w).or_default().insert(v);
+                    // All targets are initial matches, so the initial
+                    // support is simply the pair count.
+                    *support.entry(v).or_insert(0) += 1;
                 }
             }
             self.pairs[e_idx] = forward;
@@ -1713,34 +1711,30 @@ impl IncrementalEngine for BoundedIndex {
         }
     }
 
+    /// The build reads no distance index (the pair sets come from bounded
+    /// BFS balls), so `shared` is left alone and `shards` is unused: the
+    /// service has already scanned the candidates.
     fn build_in_service(
         pattern: &Pattern,
         graph: &DataGraph,
-        shared: &mut LandmarkIndex,
+        _shared: &mut LandmarkIndex,
         cand_lists: &[Arc<Vec<NodeId>>],
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, BuildError> {
         if pattern.node_count() > MAX_PATTERN_NODES {
             return Err(BuildError::ArityTooLarge { arity: pattern.node_count() });
         }
-        // The build consumes a `LandmarkIndex` by value; borrow the shared
-        // one by swapping a zero-landmark placeholder in for its duration.
-        // (`Explicit(vec![])` builds no distance vectors — it is free.)
+        // The engine holds a zero-landmark placeholder (`Explicit(vec![])`
+        // builds no distance vectors — it is free) and has the shared index
+        // swapped in around every `try_apply_shared`.
         let placeholder =
             LandmarkIndex::build_with_shards(graph, LandmarkSelection::Explicit(Vec::new()), 1);
-        let landmarks = std::mem::replace(shared, placeholder);
-        let mut engine = Self::build_with_landmarks_from_candidates(
+        Ok(Self::build_with_landmarks_from_candidates(
             pattern,
             graph,
-            landmarks,
+            placeholder,
             cand_lists.to_vec(),
-            shards,
-        );
-        // Hand the real landmark index back to the service; the engine keeps
-        // the placeholder and has the shared index swapped in around every
-        // `try_apply_shared` / never reads distances outside it.
-        std::mem::swap(&mut engine.landmarks, shared);
-        Ok(engine)
+        ))
     }
 
     fn try_apply_shared(

@@ -77,44 +77,80 @@ pub fn bfs_distances_dense(graph: &DataGraph, source: NodeId, direction: Directi
     dist
 }
 
+/// Reusable scratch of [`nodes_within`]: one visit stamp per node, bumped
+/// per search, plus the output buffer, so repeated searches over one graph
+/// cost O(ball) each with no allocation or O(|V|) clear per call. The stamp
+/// array grows with the graph on first use.
+#[derive(Debug, Clone, Default)]
+pub struct BallScratch {
+    stamp: Vec<u32>,
+    epoch: u32,
+    ball: Vec<NodeId>,
+}
+
+impl BallScratch {
+    /// Starts a search over `node_count` nodes: returns a stamp no node
+    /// carries yet.
+    fn next_epoch(&mut self, node_count: usize) -> u32 {
+        if self.stamp.len() < node_count {
+            // New entries carry 0, which no search ever uses.
+            self.stamp.resize(node_count, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.epoch
+    }
+}
+
 /// The nodes reachable from `source` (following `direction`) within
-/// `max_hops` hops, *excluding* the source itself unless it lies on a cycle
-/// of length ≤ `max_hops` (paths must be nonempty, cf. [`crate::EdgeBound`]).
-pub fn nodes_within(
+/// `max_hops` hops, sorted ascending, *excluding* the source itself unless it
+/// lies on a cycle of length ≤ `max_hops` (paths must be nonempty, cf.
+/// [`crate::EdgeBound`]; use `u32::MAX` for an unbounded search). The result
+/// borrows `scratch`, which the next search reuses.
+pub fn nodes_within<'s>(
     graph: &DataGraph,
     source: NodeId,
     direction: Direction,
     max_hops: u32,
-) -> Vec<NodeId> {
+    scratch: &'s mut BallScratch,
+) -> &'s [NodeId] {
+    scratch.ball.clear();
+    if max_hops == 0 {
+        return &scratch.ball;
+    }
+    let epoch = scratch.next_epoch(graph.node_count());
+    let BallScratch { stamp, ball, .. } = scratch;
     // The nonempty-path requirement means the source is included only if it
     // can be reached from itself by a positive-length path; handle that by
-    // starting the BFS at the source's neighbours.
-    let mut dist: FastHashMap<NodeId, u32> = FastHashMap::default();
-    let mut queue = VecDeque::new();
-    if max_hops == 0 {
-        return Vec::new();
-    }
+    // starting the BFS at the source's neighbours. `ball` doubles as the
+    // FIFO queue: `ball[start..end]` holds the nodes at hop distance `depth`.
     for &w in direction.neighbours(graph, source) {
-        if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-            e.insert(1);
-            queue.push_back(w);
+        if stamp[w.index()] != epoch {
+            stamp[w.index()] = epoch;
+            ball.push(w);
         }
     }
-    while let Some(v) = queue.pop_front() {
-        let d = dist[&v];
-        if d >= max_hops {
-            continue;
-        }
-        for &w in direction.neighbours(graph, v) {
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(w) {
-                e.insert(d + 1);
-                queue.push_back(w);
+    let mut start = 0;
+    let mut depth = 1;
+    while depth < max_hops && start < ball.len() {
+        let end = ball.len();
+        for i in start..end {
+            let v = ball[i];
+            for &w in direction.neighbours(graph, v) {
+                if stamp[w.index()] != epoch {
+                    stamp[w.index()] = epoch;
+                    ball.push(w);
+                }
             }
         }
+        start = end;
+        depth += 1;
     }
-    let mut nodes: Vec<NodeId> = dist.into_keys().collect();
-    nodes.sort_unstable();
-    nodes
+    ball.sort_unstable();
+    ball
 }
 
 /// The shortest positive-length distance from `from` to `to` (a nonempty
@@ -217,17 +253,62 @@ mod tests {
     #[test]
     fn nodes_within_respects_nonempty_paths() {
         let g = sample();
+        let mut scratch = BallScratch::default();
         // Within 2 hops forward of node 0: {1, 2, 4}; node 0 itself needs 4 hops.
         assert_eq!(
-            nodes_within(&g, NodeId(0), Direction::Forward, 2),
-            vec![NodeId(1), NodeId(2), NodeId(4)]
+            nodes_within(&g, NodeId(0), Direction::Forward, 2, &mut scratch),
+            &[NodeId(1), NodeId(2), NodeId(4)]
         );
         // Within 4 hops the cycle brings node 0 back into view.
-        let within4 = nodes_within(&g, NodeId(0), Direction::Forward, 4);
+        let within4 = nodes_within(&g, NodeId(0), Direction::Forward, 4, &mut scratch);
         assert!(within4.contains(&NodeId(0)));
-        assert!(nodes_within(&g, NodeId(0), Direction::Forward, 0).is_empty());
+        assert!(nodes_within(&g, NodeId(0), Direction::Forward, 0, &mut scratch).is_empty());
         // Backward within 1 hop of node 0: only node 3.
-        assert_eq!(nodes_within(&g, NodeId(0), Direction::Backward, 1), vec![NodeId(3)]);
+        assert_eq!(nodes_within(&g, NodeId(0), Direction::Backward, 1, &mut scratch), &[NodeId(3)]);
+        // Unbounded: everything reachable, the source through its cycle.
+        assert_eq!(
+            nodes_within(&g, NodeId(0), Direction::Forward, u32::MAX, &mut scratch),
+            &[NodeId(0), NodeId(1), NodeId(2), NodeId(3), NodeId(4)]
+        );
+        assert!(nodes_within(&g, NodeId(4), Direction::Forward, u32::MAX, &mut scratch).is_empty());
+    }
+
+    #[test]
+    fn nodes_within_reuses_its_scratch_across_searches_and_growth() {
+        // One scratch serves every source, including nodes added after its
+        // first use, and agrees with a hop-limited BFS from the children.
+        let mut g = sample();
+        let mut scratch = BallScratch::default();
+        let reference = |g: &DataGraph, source: NodeId, max_hops: u32| {
+            let mut nodes: Vec<NodeId> = g
+                .nodes()
+                .filter(|&v| {
+                    g.children(source).iter().any(|&c| {
+                        bfs_distances(g, c, Direction::Forward, max_hops - 1).contains_key(&v)
+                    })
+                })
+                .collect();
+            nodes.sort_unstable();
+            nodes
+        };
+        for round in 0..2 {
+            if round == 1 {
+                let fresh = g.add_node(Attributes::labeled("v5"));
+                g.add_edge(NodeId(4), fresh);
+                g.add_edge(fresh, fresh);
+            }
+            for source in g.nodes() {
+                for max_hops in 1..=5 {
+                    assert_eq!(
+                        nodes_within(&g, source, Direction::Forward, max_hops, &mut scratch),
+                        reference(&g, source, max_hops).as_slice(),
+                        "round {round}, source {source}, {max_hops} hops"
+                    );
+                }
+            }
+        }
+        // The self-loop makes the fresh node its own 1-hop neighbour.
+        assert_eq!(nodes_within(&g, NodeId(5), Direction::Forward, 1, &mut scratch), &[NodeId(5)]);
     }
 
     #[test]

@@ -14,12 +14,14 @@ fn main() {
     // A synthetic social network: people with a role and an optional hobby.
     let mut graph = synthetic_graph(&SyntheticConfig::new(3_000, 12_000, 6, 42));
     // Re-label nodes with job roles and hobbies so the pattern is meaningful.
+    // The role follows uid mod 6 and the hobby uid mod 8; each hobby takes
+    // one even and one odd residue mod 8, so every role/hobby pair occurs.
     let roles = ["Founder", "SE", "HR", "DM", "PM", "QA"];
     let hobbies = ["golf", "chess", "tennis", "none"];
     for v in graph.nodes().collect::<Vec<_>>() {
-        let uid = v.index() as i64;
-        let role = roles[(uid as usize * 7 + 3) % roles.len()];
-        let hobby = hobbies[(uid as usize * 13 + 1) % hobbies.len()];
+        let uid = v.index();
+        let role = roles[(uid * 7 + 3) % roles.len()];
+        let hobby = hobbies[(uid / 2) % hobbies.len()];
         let attrs = graph.attrs_mut(v);
         attrs.set("role", role);
         attrs.set("hobby", hobby);
@@ -55,11 +57,8 @@ fn main() {
     for (label, u) in [("Founder", founder), ("SE", se), ("HR", hr), ("DM+golf", dm)] {
         println!("  {label:>8}: {} candidates match", matches.matches(u).len());
     }
-    if matches.is_total() {
-        println!("\na viable team pool exists — every role can be staffed ✓");
-    } else {
-        println!("\nno viable team pool in this network");
-    }
+    assert!(matches.is_total(), "every role of the pattern has a candidate that can be staffed");
+    println!("\na viable team pool exists — every role can be staffed ✓");
 
     // Subgraph isomorphism on the normalised pattern finds only exact-shaped
     // teams; count how much it misses (cap the enumeration for safety).
@@ -70,4 +69,12 @@ fn main() {
         bsim_nodes.len(),
         iso_nodes.len()
     );
+    // An embedding of the normalised pattern maps every pattern edge to a
+    // single data edge, which satisfies any bound, so it is a bounded
+    // simulation and lies inside the maximum one.
+    assert!(
+        iso_nodes.iter().all(|v| bsim_nodes.binary_search(v).is_ok()),
+        "a person identified by isomorphism is missing from the bounded simulation"
+    );
+    println!("every person isomorphism identifies is identified by bounded simulation ✓");
 }

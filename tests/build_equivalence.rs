@@ -9,6 +9,13 @@
 //! and the raw auxiliary state is compared byte for byte (hash-backed
 //! structures as sorted tuples), with shards = 1 as the sequential reference.
 //!
+//! Comparing builds with one another cannot see a pair that every build
+//! drops alike, so the b-pattern pair sets are also checked against brute
+//! force: every `cand(from) × cand(to)` pair whose bound the all-pairs
+//! distance matrix satisfies, for standalone and in-service builds, on graphs
+//! with self-loops and 2-cycles and patterns whose adjacent nodes share a
+//! predicate (so reflexive pairs occur), under bounds 1, 2, 3, `*` and 0.
+//!
 //! Degenerate inputs get their own cases under shards {1, 4}: the empty
 //! graph, a pattern no node satisfies, a single-node SCC pattern (self-loop),
 //! and a graph larger than the thread-spawn threshold, so the fan-out branch
@@ -22,8 +29,10 @@
 //! strategy (pure label bucket, label-atom filter, full predicate scan).
 
 use igpm::core::{candidates_with_shards, match_bounded_with_matrix};
+use igpm::distance::satisfies_bound;
 use igpm::graph::LabelIndex;
 use igpm::prelude::*;
+use std::sync::Arc;
 
 const BUILD_SHARDS: [usize; 4] = [1, 2, 3, 8];
 
@@ -181,6 +190,126 @@ fn built_indexes_behave_identically_afterwards() {
         assert_eq!(stats, reference_stats, "batch stats diverged after shards={shards} build");
         assert_eq!(g, reference_graph);
         assert_eq!(index.aux_snapshot(), reference.aux_snapshot(), "shards={shards}");
+    }
+}
+
+// ----------------------------------------------------------------------
+// Pair sets against brute force (shards {1, 2, 3, 8})
+// ----------------------------------------------------------------------
+
+/// The satisfied pairs of every pattern edge by brute force: each
+/// `(e, v, w)` over `cand(from) × cand(to)` whose bound some nonempty path
+/// satisfies, by the all-pairs distance matrix.
+fn brute_force_pairs(pattern: &Pattern, graph: &DataGraph) -> Vec<(u32, u32, u32)> {
+    let matrix = DistanceMatrix::build(graph);
+    let cands = candidates_with_shards(pattern, graph, 1);
+    let mut pairs = Vec::new();
+    for (e_idx, edge) in pattern.edges().iter().enumerate() {
+        for &v in &cands[edge.from.index()] {
+            for &w in &cands[edge.to.index()] {
+                if satisfies_bound(graph, &matrix, v, w, edge.bound) {
+                    pairs.push((e_idx as u32, v.0, w.0));
+                }
+            }
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// A seeded two-label graph with self-loops and 2-cycles, so candidates
+/// reach themselves around cycles of every length from 1 up.
+fn cyclic_two_label_graph(seed: u64) -> DataGraph {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = 60usize;
+    let mut graph = DataGraph::new();
+    for v in 0..n {
+        graph.add_labeled_node(if v % 3 == 2 { "b" } else { "a" });
+    }
+    for v in (0..n).step_by(7) {
+        graph.add_edge(NodeId(v as u32), NodeId(v as u32));
+    }
+    for _ in 0..12 {
+        let a = NodeId(rng.gen_range(0..n) as u32);
+        let b = NodeId(rng.gen_range(0..n) as u32);
+        graph.add_edge(a, b);
+        graph.add_edge(b, a);
+    }
+    for _ in 0..90 {
+        let a = NodeId(rng.gen_range(0..n) as u32);
+        let b = NodeId(rng.gen_range(0..n) as u32);
+        graph.add_edge(a, b);
+    }
+    graph
+}
+
+/// Two `a` nodes in a 2-cycle, a `b` node with a self-loop, and edges
+/// between them, every edge carrying `bounds[i % bounds.len()]`: adjacent
+/// pattern nodes share a predicate, so reflexive pairs `(v, v)` occur.
+fn shared_predicate_pattern(bounds: &[EdgeBound]) -> Pattern {
+    let mut pattern = Pattern::new();
+    let a0 = pattern.add_labeled_node("a");
+    let a1 = pattern.add_labeled_node("a");
+    let b = pattern.add_labeled_node("b");
+    for (i, (from, to)) in [(a0, a1), (a1, a0), (a1, b), (b, b), (b, a0)].into_iter().enumerate() {
+        pattern.add_edge(from, to, bounds[i % bounds.len()]);
+    }
+    pattern
+}
+
+#[test]
+fn pair_sets_equal_brute_force_bound_checks() {
+    // `Hops(0)` is admitted by no path (`EdgeBound::admits`), so its edges
+    // must carry no pair at all.
+    let hops0 = EdgeBound::Hops(0);
+    let bound_sets: [&[EdgeBound]; 6] = [
+        &[EdgeBound::Hops(1)],
+        &[EdgeBound::Hops(2)],
+        &[EdgeBound::Hops(3)],
+        &[EdgeBound::Unbounded],
+        &[hops0],
+        &[EdgeBound::Hops(1), EdgeBound::Hops(2), EdgeBound::Hops(3), EdgeBound::Unbounded, hops0],
+    ];
+    for seed in [0x91u64, 0x92] {
+        let graph = cyclic_two_label_graph(seed);
+        for bounds in bound_sets {
+            let pattern = shared_predicate_pattern(bounds);
+            let context = format!("seed {seed:#x}, bounds {bounds:?}");
+            let expected = brute_force_pairs(&pattern, &graph);
+            if bounds == [hops0] {
+                assert!(expected.is_empty(), "{context}: Hops(0) admitted a pair");
+            } else {
+                assert!(
+                    expected.iter().any(|&(_, v, w)| v == w),
+                    "{context}: no reflexive pair, the case is vacuous"
+                );
+            }
+            for shards in BUILD_SHARDS {
+                let standalone = BoundedIndex::build_with_shards(&pattern, &graph, shards);
+                assert_eq!(
+                    standalone.aux_snapshot().pairs,
+                    expected,
+                    "{context}: standalone build pairs at shards={shards}"
+                );
+                let mut shared = BoundedIndex::shared_build(&graph, shards);
+                let lists: Vec<Arc<Vec<NodeId>>> = candidates_with_shards(&pattern, &graph, shards)
+                    .into_iter()
+                    .map(Arc::new)
+                    .collect();
+                let in_service =
+                    BoundedIndex::build_in_service(&pattern, &graph, &mut shared, &lists, shards)
+                        .expect("pattern fits the masks");
+                assert_eq!(
+                    in_service.aux_snapshot().pairs,
+                    expected,
+                    "{context}: in-service build pairs at shards={shards}"
+                );
+                assert_eq!(in_service.aux_snapshot(), standalone.aux_snapshot(), "{context}");
+                assert_eq!(in_service.build_stats(), standalone.build_stats(), "{context}");
+            }
+        }
     }
 }
 
