@@ -24,7 +24,7 @@ use igpm_distance::{
     BfsOracle, DistanceMatrix, DistanceOracle, LandmarkIndex, LandmarkSelection, TwoHopLabels,
 };
 use igpm_generator::{evolution_split, mixed_batch, synthetic_graph, SyntheticConfig};
-use igpm_graph::{BatchUpdate, DataGraph, Pattern, Update};
+use igpm_graph::{BatchUpdate, DataGraph, NodeId, Pattern, Update};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -273,14 +273,15 @@ fn fig18_real(scale: f64, dataset: &str) {
 }
 
 /// Measures Matchs (batch), IncMatchn (naive), IncMatch (minDelta) and HornSat
-/// on the same batch of updates applied to `base`.
+/// on the same batch of updates applied to `base`, and checks IncMatch's
+/// result against Matchs'.
 fn measure_incsim(base: &DataGraph, pattern: &Pattern, batch: &BatchUpdate, x: &str) -> Vec<Row> {
     let mut rows = Vec::new();
 
     // Batch recomputation on the updated graph.
     let mut updated = base.clone();
     batch.apply(&mut updated);
-    let (t_batch, _) = time_ms(|| match_simulation(pattern, &updated));
+    let (t_batch, expected) = time_ms(|| match_simulation(pattern, &updated));
     rows.push(Row::new("Matchs (batch)", x, t_batch, "ms"));
 
     // IncMatch (minDelta + simultaneous processing).
@@ -288,7 +289,7 @@ fn measure_incsim(base: &DataGraph, pattern: &Pattern, batch: &BatchUpdate, x: &
     let mut index = SimulationIndex::build(pattern, &g);
     let (t_inc, _) = time_ms(|| index.apply_batch(&mut g, batch));
     rows.push(Row::new("IncMatch", x, t_inc, "ms"));
-    debug_assert_eq!(index.matches(), match_simulation(pattern, &updated));
+    assert_eq!(index.matches(), expected, "{x}: IncMatch differs from Matchs");
 
     // IncMatchn: one unit update at a time.
     let mut g = base.clone();
@@ -357,24 +358,27 @@ fn fig19_real(scale: f64, dataset: &str) {
 }
 
 /// Measures Matchbs (batch), IncBMatchm (distance matrix) and IncBMatch
-/// (landmarks) on the same batch.
+/// (landmarks) on the same batch, and checks both incremental results against
+/// Matchbs'.
 fn measure_incbsim(base: &DataGraph, pattern: &Pattern, batch: &BatchUpdate, x: &str) -> Vec<Row> {
     let mut rows = Vec::new();
 
     let mut updated = base.clone();
     batch.apply(&mut updated);
-    let (t_batch, _) = time_ms(|| match_bounded_with_matrix(pattern, &updated));
+    let (t_batch, expected) = time_ms(|| match_bounded_with_matrix(pattern, &updated));
     rows.push(Row::new("Matchbs (batch)", x, t_batch, "ms"));
 
     let mut g = base.clone();
     let mut index = BoundedIndex::build(pattern, &g);
     let (t_inc, _) = time_ms(|| index.apply_batch(&mut g, batch));
     rows.push(Row::new("IncBMatch", x, t_inc, "ms"));
+    assert_eq!(index.matches(), expected, "{x}: IncBMatch differs from Matchbs");
 
     let mut g = base.clone();
     let mut matrix_index = MatrixBoundedIndex::build(pattern, &g);
     let (t_matrix, _) = time_ms(|| matrix_index.apply_batch(&mut g, batch));
     rows.push(Row::new("IncBMatchm (matrix)", x, t_matrix, "ms"));
+    assert_eq!(matrix_index.matches(), expected, "{x}: IncBMatchm differs from Matchbs");
 
     rows
 }
@@ -437,6 +441,7 @@ fn fig20b(scale: f64) {
         total_inserted += count;
         let rebuilt = LandmarkIndex::build(&incremental_graph, LandmarkSelection::VertexCover);
         let x = format!("+{total_inserted} edges");
+        assert_same_distances(&incremental, &rebuilt, &incremental_graph, &x);
         rows.push(Row::new(
             "InsLM (maintained)",
             x.clone(),
@@ -464,8 +469,9 @@ fn fig20c(scale: f64) {
                 ins_lm(&mut index, &mut g, a, b);
             }
         });
-        let (t_rebuild_plus, _) =
+        let (t_rebuild_plus, rebuilt) =
             time_ms(|| LandmarkIndex::build(&g, LandmarkSelection::VertexCover));
+        assert_same_distances(&index, &rebuilt, &g, &format!("InsLM +{count}"));
         rows.push(Row::new("InsLM", format!("+{count}"), t_ins, "ms"));
         rows.push(Row::new("BatchLM(+)", format!("+{count}"), t_rebuild_plus, "ms"));
 
@@ -479,8 +485,9 @@ fn fig20c(scale: f64) {
                 del_lm(&mut index, &mut g, a, b);
             }
         });
-        let (t_rebuild_minus, _) =
+        let (t_rebuild_minus, rebuilt) =
             time_ms(|| LandmarkIndex::build(&g, LandmarkSelection::VertexCover));
+        assert_same_distances(&index, &rebuilt, &g, &format!("DelLM -{count}"));
         rows.push(Row::new("DelLM", format!("-{count}"), t_del, "ms"));
         rows.push(Row::new("BatchLM(-)", format!("-{count}"), t_rebuild_minus, "ms"));
     }
@@ -500,7 +507,9 @@ fn fig20d(scale: f64) {
         let mut g = graph.clone();
         let mut index = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
         let (t_inc, _) = time_ms(|| inc_lm(&mut index, &mut g, &batch));
-        let (t_rebuild, _) = time_ms(|| LandmarkIndex::build(&g, LandmarkSelection::VertexCover));
+        let (t_rebuild, rebuilt) =
+            time_ms(|| LandmarkIndex::build(&g, LandmarkSelection::VertexCover));
+        assert_same_distances(&index, &rebuilt, &g, &format!("IncLM, {count} updates"));
         rows.push(Row::new("IncLM", format!("{count} updates"), t_inc, "ms"));
         rows.push(Row::new("BatchLM", format!("{count} updates"), t_rebuild, "ms"));
     }
@@ -521,6 +530,8 @@ fn fig20e(scale: f64) {
             let mut g = graph.clone();
             let mut index = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
             let (t, _) = time_ms(|| inc_lm(&mut index, &mut g, &batch));
+            let rebuilt = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
+            assert_same_distances(&index, &rebuilt, &g, &format!("IncLM, {count} updates"));
             rows.push(Row::new(format!("IncLM (k={k})"), format!("{count} updates"), t, "ms"));
         }
     }
@@ -540,6 +551,8 @@ fn fig20f(scale: f64) {
         let mut g = graph.clone();
         let mut index = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
         let (t_inc, _) = time_ms(|| inc_lm(&mut index, &mut g, &batch));
+        let rebuilt = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
+        assert_same_distances(&index, &rebuilt, &g, &format!("IncLM, {count} updates"));
 
         let mut g = graph.clone();
         let mut index = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
@@ -555,6 +568,8 @@ fn fig20f(scale: f64) {
                 }
             }
         });
+        let rebuilt = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
+        assert_same_distances(&index, &rebuilt, &g, &format!("InsLM+DelLM, {count} updates"));
         rows.push(Row::new("IncLM", format!("{count} updates"), t_inc, "ms"));
         rows.push(Row::new("InsLM+DelLM (naive)", format!("{count} updates"), t_naive, "ms"));
     }
@@ -564,6 +579,27 @@ fn fig20f(scale: f64) {
 // ---------------------------------------------------------------------------
 // Helpers
 // ---------------------------------------------------------------------------
+
+/// Node pairs [`assert_same_distances`] compares.
+const SAMPLED_PAIRS: u64 = 2_000;
+
+/// Asserts that a maintained landmark index answers the distance query like
+/// one rebuilt from scratch on the same graph, on [`SAMPLED_PAIRS`] pairs
+/// drawn by a multiplicative hash. Both are vertex-cover indexes, so both
+/// are exact.
+fn assert_same_distances(
+    maintained: &LandmarkIndex,
+    rebuilt: &LandmarkIndex,
+    graph: &DataGraph,
+    context: &str,
+) {
+    let n = graph.node_count() as u64;
+    for i in 1..=SAMPLED_PAIRS {
+        let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let (a, b) = (NodeId(((h >> 32) % n) as u32), NodeId((h % n) as u32));
+        assert_eq!(maintained.query(a, b), rebuilt.query(a, b), "{context}: dist({a}, {b})");
+    }
+}
 
 /// `BFS+Match` with a generous row cache — the workhorse configuration used by
 /// the figures whose x-axis is not the distance oracle itself.

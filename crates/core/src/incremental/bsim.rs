@@ -25,7 +25,7 @@
 //! depth `k` (unlimited for `*`), and pairs `v` with the candidates of `u'`
 //! the search reaches (see [`BoundedIndex::build_with_shards`]). The balls
 //! run sequentially; what the build still shards is the candidate scan and,
-//! for a standalone index, the landmark BFS rows, which only the batch path
+//! for a standalone index, the landmark blocks, which only the batch path
 //! reads.
 //!
 //! After an update only the pairs with an endpoint in the affected area (the
@@ -35,8 +35,11 @@
 //! them — the reduction of bounded simulation to simulation over the result
 //! pairs stated by Proposition 6.1.
 //!
-//! The pair re-evaluation — the landmark-query-heavy part of the batch path —
-//! is split into a read-only *evaluate* step and a sequential *commit* step.
+//! The pair re-evaluation is the landmark-query-heavy part of the batch
+//! path: every bound check is one [`LandmarkIndex::query`], a min-plus scan
+//! over the two nodes' 64-landmark chunks of each block of the distance
+//! vectors, `8 · |lm|` contiguous bytes. It is split into a read-only
+//! *evaluate* step and a sequential *commit* step.
 //! The evaluate step runs the affected `(edge, source, target)` bound checks
 //! on scoped threads when the batch is large enough
 //! ([`igpm_graph::shard`]); the commit step replays the verdicts in
@@ -145,7 +148,7 @@ pub struct BsimAuxSnapshot {
 impl BoundedIndex {
     /// Builds the index: landmark vectors, cc/cs/ss pair sets and the initial
     /// maximum match (the batch `Matchbs` step), with the candidate scan and
-    /// the landmark BFS rows sharded across [`configured_shards`] threads
+    /// the landmark blocks sharded across [`configured_shards`] threads
     /// (see [`BoundedIndex::build_with_shards`]).
     pub fn build(pattern: &Pattern, graph: &DataGraph) -> Self {
         Self::build_with_shards(pattern, graph, configured_shards())
@@ -173,15 +176,16 @@ impl BoundedIndex {
 
     /// [`BoundedIndex::build`] with an explicit shard count (`IGPM_SHARDS`
     /// and machine parallelism are ignored). The count shards the candidate
-    /// scan and the landmark BFS rows; the pair sets come from one bounded
+    /// scan and the landmark blocks; the pair sets come from one bounded
     /// BFS per source candidate per pattern edge, run sequentially and
     /// without reading the landmark index (`rebuild_all_pairs`).
     /// `shards = 1` is the sequential engine; every count produces
     /// bit-identical masks, pair sets, support counters, cached matches and
     /// build [`AffStats`] ([`BoundedIndex::build_stats`]): the candidate
-    /// lists and the landmark rows are merged in a fixed order, the balls
-    /// are committed source by source with targets ascending, and the
-    /// initial refinement is a deterministic fixpoint.
+    /// lists are merged in a fixed order, the landmark blocks are
+    /// independent of one another, the balls are committed source by source
+    /// with targets ascending, and the initial refinement is a
+    /// deterministic fixpoint.
     pub fn build_with_shards(pattern: &Pattern, graph: &DataGraph, shards: usize) -> Self {
         let landmarks =
             LandmarkIndex::build_with_shards(graph, LandmarkSelection::VertexCover, shards);
@@ -1311,7 +1315,7 @@ impl BoundedIndex {
     /// Extends the per-node arrays when the graph gained nodes since the
     /// index was built, mirroring `SimulationIndex::ensure_node_capacity`.
     /// New nodes are isolated at this point (edges to them arrive through
-    /// update batches, which also grow the landmark distance rows), so a new
+    /// update batches, which also grow the landmark distance vectors), so a new
     /// node matches a pattern node iff it satisfies the predicate of a
     /// *childless* pattern node; otherwise it starts as a candidate. Pair
     /// sets stay untouched: an isolated node reaches nothing, and the first
@@ -2004,7 +2008,7 @@ mod tests {
     fn nodes_added_after_build_join_the_candidate_pipeline() {
         // Mirror of the SimulationIndex node-churn regression: nodes added
         // *after* the index is built must join the candidate pipeline, the
-        // landmark rows must grow with them, and their first edges must be
+        // landmark vectors must grow with them, and their first edges must be
         // classified live.
         let mut f = fixture();
         let mut index = BoundedIndex::build(&f.pattern, &f.graph);

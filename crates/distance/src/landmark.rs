@@ -7,9 +7,23 @@
 //! `distvt(v) = <dis(lm_1, v), ..., dis(lm_|lm|, v)>`; the distance between
 //! any two nodes is `min_i distvf(v)[i] + distvt(v')[i]`.
 //!
-//! Internally the vectors are stored transposed (one dense row per landmark),
-//! which is the layout the incremental maintenance procedures of Section 6.4
-//! update in place ([`crate::landmark_inc`]).
+//! The vectors are stored the way the paper gives them, per node, cut into
+//! blocks of 64 landmarks (the width of a `u64`): landmark `i` is lane
+//! `i % 64` of block `i / 64`, and block `b` holds, node-major,
+//! `from_blocks[b][v * 64 + lane] = dis(lm_{64b+lane}, v)` (the `distvt`
+//! entries) and likewise `to_blocks` for `distvf`. A node's 64 entries of one
+//! block are 256 contiguous bytes, so a distance query is one min-plus scan
+//! over two such chunks per block ([`LandmarkIndex::query`]), summing in
+//! `u32`: distances stay exact while the sums fit, which holds for
+//! `|V| < 2³¹`. Lanes past the last landmark hold [`UNREACHABLE`]. The
+//! index takes `8 · |V| · 64 · ⌈|lm| / 64⌉` bytes of distances
+//! ([`LandmarkIndex::memory_bytes`]).
+//!
+//! Each block is built by one forward and one backward bit-parallel BFS that
+//! carries the block's 64 sources as one `u64` per node. The incremental
+//! procedures of Section 6.4 ([`crate::landmark_inc`]) keep their
+//! per-landmark algorithms and update one landmark's entries in place
+//! through a lane view of its block.
 
 use crate::oracle::DistanceOracle;
 use crate::vertex_cover::greedy_vertex_cover;
@@ -17,9 +31,14 @@ use igpm_graph::hash::{FastHashMap, FastHashSet};
 use igpm_graph::shard::{configured_shards, MAX_SHARDS, PARALLEL_WORK_THRESHOLD};
 use igpm_graph::traversal::{bfs_distances_dense, Direction};
 use igpm_graph::{DataGraph, NodeId};
+use std::ops::{Index, IndexMut};
 
 /// Sentinel for "unreachable" entries of the distance vectors.
 pub const UNREACHABLE: u32 = u32::MAX;
+
+/// Landmarks per block: one bit per landmark in the `u64` source masks of
+/// [`multi_source_bfs`].
+const LANES: usize = u64::BITS as usize;
 
 /// How the initial landmark set is chosen.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,27 +50,141 @@ pub enum LandmarkSelection {
     /// the set happens to cover all shortest paths; this mirrors the
     /// "high-quality landmarks" discussion of Section 6.2 / Potamias et al.
     TopDegree(usize),
-    /// Use an explicit, caller-provided landmark set.
+    /// Use an explicit, caller-provided landmark set. Ids that are not nodes
+    /// of the graph, and repeats of an earlier id, are dropped, keeping the
+    /// order of the rest.
     Explicit(Vec<NodeId>),
 }
 
-/// Landmark vector plus per-landmark distance rows.
+/// Landmark vector plus the distance vectors, in 64-lane node-major blocks.
 #[derive(Debug, Clone)]
 pub struct LandmarkIndex {
     landmarks: Vec<NodeId>,
     position: FastHashMap<NodeId, usize>,
-    /// `from_lm[i][v]` = dis(lm_i, v) — the `distvt` entries.
-    from_lm: Vec<Vec<u32>>,
-    /// `to_lm[i][v]` = dis(v, lm_i) — the `distvf` entries.
-    to_lm: Vec<Vec<u32>>,
+    /// `from_blocks[b][v * 64 + lane]` = dis(lm_{64b+lane}, v) — the
+    /// `distvt` entries.
+    from_blocks: Vec<Vec<u32>>,
+    /// `to_blocks[b][v * 64 + lane]` = dis(v, lm_{64b+lane}) — the `distvf`
+    /// entries.
+    to_blocks: Vec<Vec<u32>>,
     covering: bool,
     node_count: usize,
 }
 
+/// One landmark's distances inside its block, indexed by node as a dense row
+/// would be: entry `v` is `block[v * 64 + lane]`. The incremental procedures
+/// read and write a landmark's entries through it.
+pub(crate) struct Lane<'a> {
+    block: &'a mut [u32],
+    lane: usize,
+}
+
+impl Index<usize> for Lane<'_> {
+    type Output = u32;
+
+    #[inline]
+    fn index(&self, v: usize) -> &u32 {
+        &self.block[v * LANES + self.lane]
+    }
+}
+
+impl IndexMut<usize> for Lane<'_> {
+    #[inline]
+    fn index_mut(&mut self, v: usize) -> &mut u32 {
+        &mut self.block[v * LANES + self.lane]
+    }
+}
+
+/// The 64 entries of node `v` in `block`.
+#[inline]
+fn node_lanes(block: &[u32], v: NodeId) -> &[u32; LANES] {
+    block[v.index() * LANES..][..LANES].try_into().expect("a node's lanes are one chunk")
+}
+
+/// Scratch of [`multi_source_bfs`]: three source masks per node (reached so
+/// far, reached at the current level, reaching at the next) and the current
+/// and next frontier lists, 24 bytes per node in all. A build keeps one per
+/// thread and drops it when done.
+#[derive(Default)]
+struct MultiBfsScratch {
+    seen: Vec<u64>,
+    frontier: Vec<u64>,
+    next: Vec<u64>,
+    current: Vec<NodeId>,
+    upcoming: Vec<NodeId>,
+}
+
+/// One block's BFS runs at once, one per source (at most 64), all following
+/// `direction` (multi-source BFS; Then et al., "The More the Merrier", VLDB
+/// 2015). Every node carries the set of sources whose search reached it as
+/// one `u64`, so the searches share each adjacency scan and each frontier.
+/// Lane `i` of `block` becomes [`bfs_distances_dense`] from `sources[i]`:
+/// `block[v * 64 + i]` is set to the hop distance of every node `v` the
+/// search reaches, and every other entry is left as it was.
+fn multi_source_bfs(
+    graph: &DataGraph,
+    sources: &[NodeId],
+    direction: Direction,
+    block: &mut [u32],
+    scratch: &mut MultiBfsScratch,
+) {
+    let neighbours = |v: NodeId| match direction {
+        Direction::Forward => graph.children(v),
+        Direction::Backward => graph.parents(v),
+    };
+    let MultiBfsScratch { seen, frontier, next, current, upcoming } = scratch;
+    for masks in [&mut *seen, &mut *frontier, &mut *next] {
+        masks.clear();
+        masks.resize(graph.node_count(), 0);
+    }
+    current.clear();
+    upcoming.clear();
+    for (lane, &source) in sources.iter().enumerate() {
+        let s = source.index();
+        if frontier[s] == 0 {
+            current.push(source);
+        }
+        frontier[s] |= 1 << lane;
+        seen[s] |= 1 << lane;
+        block[s * LANES + lane] = 0;
+    }
+    let mut level = 0u32;
+    while !current.is_empty() {
+        level += 1;
+        for &v in current.iter() {
+            let reached = frontier[v.index()];
+            for &w in neighbours(v) {
+                let fresh = reached & !seen[w.index()];
+                if fresh != 0 {
+                    if next[w.index()] == 0 {
+                        upcoming.push(w);
+                    }
+                    next[w.index()] |= fresh;
+                    seen[w.index()] |= fresh;
+                }
+            }
+        }
+        for &v in current.iter() {
+            frontier[v.index()] = 0;
+        }
+        for &w in upcoming.iter() {
+            let mut lanes = std::mem::take(&mut next[w.index()]);
+            frontier[w.index()] = lanes;
+            let row = &mut block[w.index() * LANES..][..LANES];
+            while lanes != 0 {
+                row[lanes.trailing_zeros() as usize] = level;
+                lanes &= lanes - 1;
+            }
+        }
+        std::mem::swap(current, upcoming);
+        upcoming.clear();
+    }
+}
+
 impl LandmarkIndex {
     /// Builds the index from scratch ("BatchLM" in the experiments), running
-    /// the per-landmark BFS pairs on [`configured_shards`] scoped threads
-    /// when the row volume warrants it (see
+    /// the per-block bit-parallel BFS pairs on [`configured_shards`] scoped
+    /// threads when the index is large enough (see
     /// [`LandmarkIndex::build_with_shards`]).
     pub fn build(graph: &DataGraph, selection: LandmarkSelection) -> Self {
         Self::build_with_shards(graph, selection, configured_shards())
@@ -60,17 +193,19 @@ impl LandmarkIndex {
     /// [`LandmarkIndex::build`] with an explicit shard count (`IGPM_SHARDS`
     /// and machine parallelism are ignored).
     ///
-    /// Every landmark's two distance rows come from independent BFS runs
-    /// over the (read-only) graph, so the landmark list is chunked across
-    /// scoped threads; rows are assembled back in landmark order, making the
-    /// result bit-identical for every shard count. Threads are only spawned
-    /// when the total row volume (`|lm| · |V|`) is large enough to amortise
-    /// them; `shards = 1` is the sequential build.
+    /// Every block of 64 landmarks comes from one forward and one backward
+    /// multi-source BFS over the (read-only) graph, independent of the other
+    /// blocks, so whole blocks are handed to scoped threads, each with its
+    /// own BFS scratch, and the result is bit-identical for every shard
+    /// count. Threads are only spawned when there is more than one block and
+    /// the entry volume (`|lm| · |V|`) is large enough to amortise them;
+    /// `shards = 1` is the sequential build.
     pub fn build_with_shards(
         graph: &DataGraph,
         selection: LandmarkSelection,
         shards: usize,
     ) -> Self {
+        let n = graph.node_count();
         let (mut landmarks, covering) = match selection {
             LandmarkSelection::VertexCover => (greedy_vertex_cover(graph), true),
             LandmarkSelection::TopDegree(count) => {
@@ -81,62 +216,67 @@ impl LandmarkIndex {
             }
             LandmarkSelection::Explicit(nodes) => (nodes, false),
         };
-        // Duplicates (possible in an Explicit selection) are dropped up
-        // front, keeping the first occurrence — exactly what repeated
-        // `push_landmark` calls would do.
+        // Ids outside the graph and duplicates (possible in an Explicit
+        // selection) are dropped up front, keeping the first occurrence —
+        // exactly what repeated `push_landmark` calls would do.
         let mut seen: FastHashSet<NodeId> = FastHashSet::default();
-        landmarks.retain(|&lm| seen.insert(lm));
+        landmarks.retain(|&lm| lm.index() < n && seen.insert(lm));
 
-        let mut index = LandmarkIndex {
-            landmarks: Vec::new(),
-            position: FastHashMap::default(),
-            from_lm: Vec::new(),
-            to_lm: Vec::new(),
-            covering,
-            node_count: graph.node_count(),
+        let blocks = landmarks.len().div_ceil(LANES);
+        let mut from_blocks = vec![Vec::new(); blocks];
+        let mut to_blocks = vec![Vec::new(); blocks];
+        let fill = |lms: &[NodeId], from: &mut [Vec<u32>], to: &mut [Vec<u32>]| {
+            let mut scratch = MultiBfsScratch::default();
+            for ((sources, from), to) in lms.chunks(LANES).zip(from).zip(to) {
+                for (block, direction) in [(from, Direction::Forward), (to, Direction::Backward)] {
+                    *block = vec![UNREACHABLE; n * LANES];
+                    multi_source_bfs(graph, sources, direction, block, &mut scratch);
+                }
+            }
         };
-        let shards = shards.clamp(1, MAX_SHARDS).min(landmarks.len().max(1));
-        if shards > 1
-            && landmarks.len().saturating_mul(graph.node_count()) >= PARALLEL_WORK_THRESHOLD
-        {
-            let mut rows: Vec<(Vec<u32>, Vec<u32>)> = vec![Default::default(); landmarks.len()];
-            let chunk = landmarks.len().div_ceil(shards);
+        let shards = shards.clamp(1, MAX_SHARDS).min(blocks.max(1));
+        if shards > 1 && landmarks.len().saturating_mul(n) >= PARALLEL_WORK_THRESHOLD {
+            let per_shard = blocks.div_ceil(shards);
+            let fill = &fill;
             std::thread::scope(|scope| {
-                for (lms, out) in landmarks.chunks(chunk).zip(rows.chunks_mut(chunk)) {
-                    scope.spawn(move || {
-                        for (&lm, slot) in lms.iter().zip(out.iter_mut()) {
-                            *slot = (
-                                bfs_distances_dense(graph, lm, Direction::Forward),
-                                bfs_distances_dense(graph, lm, Direction::Backward),
-                            );
-                        }
-                    });
+                for ((lms, from), to) in landmarks
+                    .chunks(per_shard * LANES)
+                    .zip(from_blocks.chunks_mut(per_shard))
+                    .zip(to_blocks.chunks_mut(per_shard))
+                {
+                    scope.spawn(move || fill(lms, from, to));
                 }
             });
-            for (lm, (from_row, to_row)) in landmarks.into_iter().zip(rows) {
-                index.position.insert(lm, index.landmarks.len());
-                index.landmarks.push(lm);
-                index.from_lm.push(from_row);
-                index.to_lm.push(to_row);
-            }
         } else {
-            for lm in landmarks {
-                index.push_landmark(graph, lm);
-            }
+            fill(&landmarks, &mut from_blocks, &mut to_blocks);
         }
-        index
+        let position = landmarks.iter().enumerate().map(|(i, &lm)| (lm, i)).collect();
+        LandmarkIndex { landmarks, position, from_blocks, to_blocks, covering, node_count: n }
     }
 
-    /// Adds `lm` as a landmark (no-op if it already is one) and computes its
-    /// distance rows with two BFS runs. Returns `true` if it was added.
+    /// Adds `lm` as a landmark and computes its distances with two BFS runs,
+    /// filling the next free lane of the last block or opening a new block
+    /// when that one is full. Returns `true` if it was added: `false` if it
+    /// already is a landmark or is not a node of `graph`.
     pub fn push_landmark(&mut self, graph: &DataGraph, lm: NodeId) -> bool {
-        if self.position.contains_key(&lm) {
+        if lm.index() >= graph.node_count() || self.position.contains_key(&lm) {
             return false;
+        }
+        self.ensure_node_capacity(graph.node_count());
+        let lane = self.landmarks.len() % LANES;
+        if lane == 0 {
+            self.from_blocks.push(vec![UNREACHABLE; self.node_count * LANES]);
+            self.to_blocks.push(vec![UNREACHABLE; self.node_count * LANES]);
         }
         self.position.insert(lm, self.landmarks.len());
         self.landmarks.push(lm);
-        self.from_lm.push(bfs_distances_dense(graph, lm, Direction::Forward));
-        self.to_lm.push(bfs_distances_dense(graph, lm, Direction::Backward));
+        let (from, to) = (self.from_blocks.last_mut(), self.to_blocks.last_mut());
+        for (block, direction) in [(from, Direction::Forward), (to, Direction::Backward)] {
+            let mut row = Lane { block: block.expect("a block with a free lane"), lane };
+            for (v, d) in bfs_distances_dense(graph, lm, direction).into_iter().enumerate() {
+                row[v] = d;
+            }
+        }
         true
     }
 
@@ -171,67 +311,82 @@ impl LandmarkIndex {
         self.node_count
     }
 
-    /// Extends every per-landmark distance row when the graph gained nodes
-    /// since the index was built. New nodes are isolated until edge updates
-    /// arrive, so their entries start [`UNREACHABLE`]; the covering invariant
-    /// is untouched (a vertex cover stays a cover when isolated nodes are
-    /// added). The incremental maintenance procedures call this before
-    /// touching any row, so indices never go out of bounds after node churn.
+    /// Extends every block when the graph gained nodes since the index was
+    /// built. New nodes are isolated until edge updates arrive, so all their
+    /// lanes start [`UNREACHABLE`]; the covering invariant is untouched (a
+    /// vertex cover stays a cover when isolated nodes are added). The
+    /// incremental maintenance procedures call this before touching any
+    /// entry, so indices never go out of bounds after node churn.
     pub fn ensure_node_capacity(&mut self, node_count: usize) {
         if node_count <= self.node_count {
             return;
         }
-        for row in self.from_lm.iter_mut().chain(self.to_lm.iter_mut()) {
-            row.resize(node_count, UNREACHABLE);
+        for block in self.from_blocks.iter_mut().chain(self.to_blocks.iter_mut()) {
+            block.resize(node_count * LANES, UNREACHABLE);
         }
         self.node_count = node_count;
     }
 
     /// The distance vector `distvf(v)`: distances from `v` to each landmark.
     pub fn distvf(&self, v: NodeId) -> Vec<u32> {
-        self.to_lm.iter().map(|row| row[v.index()]).collect()
+        self.vector(&self.to_blocks, v)
     }
 
     /// The distance vector `distvt(v)`: distances from each landmark to `v`.
     pub fn distvt(&self, v: NodeId) -> Vec<u32> {
-        self.from_lm.iter().map(|row| row[v.index()]).collect()
+        self.vector(&self.from_blocks, v)
     }
 
-    /// Mutable access to the per-landmark rows (for incremental maintenance).
-    pub(crate) fn rows_mut(&mut self) -> (&mut Vec<Vec<u32>>, &mut Vec<Vec<u32>>) {
-        (&mut self.from_lm, &mut self.to_lm)
+    /// Node `v`'s entries of `blocks`, one per landmark.
+    fn vector(&self, blocks: &[Vec<u32>], v: NodeId) -> Vec<u32> {
+        blocks.iter().flat_map(|block| node_lanes(block, v)).copied().take(self.len()).collect()
+    }
+
+    /// Landmark `i`'s entries `dis(lm_i, ·)`, for in-place maintenance.
+    pub(crate) fn lane_from(&mut self, i: usize) -> Lane<'_> {
+        Lane { block: &mut self.from_blocks[i / LANES], lane: i % LANES }
+    }
+
+    /// Landmark `i`'s entries `dis(·, lm_i)`, for in-place maintenance.
+    pub(crate) fn lane_to(&mut self, i: usize) -> Lane<'_> {
+        Lane { block: &mut self.to_blocks[i / LANES], lane: i % LANES }
     }
 
     /// The distance query `dist(v, v', lm)` of Section 6.2: the minimum over
-    /// all landmarks of `distvf(v)[i] + distvt(v')[i]`.
+    /// all landmarks of `distvf(v)[i] + distvt(v')[i]`, as one min-plus scan
+    /// over `v`'s 64 `distvf` entries and `v'`'s 64 `distvt` entries per
+    /// block. Sums are taken in `u32`, saturating at [`UNREACHABLE`]; a
+    /// finite distance is below `|V|`, so the result is exact while
+    /// `|V| < 2³¹`.
     pub fn query(&self, from: NodeId, to: NodeId) -> Option<u32> {
         if from == to {
             return Some(0);
         }
-        let mut best = u64::MAX;
-        for i in 0..self.landmarks.len() {
-            let a = self.to_lm[i][from.index()];
-            let b = self.from_lm[i][to.index()];
-            if a != UNREACHABLE && b != UNREACHABLE {
-                best = best.min(a as u64 + b as u64);
+        let mut best = UNREACHABLE;
+        for (to_lm, from_lm) in self.to_blocks.iter().zip(&self.from_blocks) {
+            for (&a, &b) in node_lanes(to_lm, from).iter().zip(node_lanes(from_lm, to)) {
+                best = best.min(a.saturating_add(b));
             }
         }
-        if best == u64::MAX {
-            None
-        } else {
-            Some(best as u32)
-        }
+        (best != UNREACHABLE).then_some(best)
     }
 
-    /// Approximate heap footprint in bytes (used by Fig. 20(b)).
+    /// Approximate heap footprint in bytes (used by Fig. 20(b)): the blocks,
+    /// slack lanes of the last one included —
+    /// `8 · |V| · 64 · ⌈|lm| / 64⌉` — plus the landmark vector and the
+    /// landmark → position map (counted by capacity, one control byte per
+    /// bucket).
     pub fn memory_bytes(&self) -> usize {
-        let rows: usize = self
-            .from_lm
+        use std::mem::size_of;
+        let blocks: usize = self
+            .from_blocks
             .iter()
-            .chain(self.to_lm.iter())
-            .map(|r| r.capacity() * std::mem::size_of::<u32>())
+            .chain(self.to_blocks.iter())
+            .map(|block| block.capacity() * size_of::<u32>())
             .sum();
-        rows + self.landmarks.capacity() * std::mem::size_of::<NodeId>()
+        blocks
+            + self.landmarks.capacity() * size_of::<NodeId>()
+            + self.position.capacity() * (size_of::<(NodeId, usize)>() + 1)
     }
 }
 
@@ -337,6 +492,116 @@ mod tests {
         assert!(!index.push_landmark(&g, NodeId(0)));
         assert!(index.push_landmark(&g, NodeId(1)));
         assert_eq!(index.len(), 2);
+    }
+
+    /// 200 nodes: a random graph over the first 190, a chain through the
+    /// last ten that nothing else reaches, and a self-loop on every 13th
+    /// node.
+    fn boundary_graph() -> DataGraph {
+        let mut g = random_graph(190, 480, 0xb10c);
+        for i in 190..200 {
+            g.add_node(Attributes::labeled(format!("v{i}")));
+        }
+        for i in 190..199 {
+            g.add_edge(NodeId(i), NodeId(i + 1));
+        }
+        for i in (0..200).step_by(13) {
+            g.add_edge(NodeId(i), NodeId(i));
+        }
+        g
+    }
+
+    /// Node `v`'s entries in every block of `index`, slack lanes included.
+    fn all_lanes(index: &LandmarkIndex, v: usize) -> Vec<u32> {
+        let v = NodeId(v as u32);
+        index
+            .from_blocks
+            .iter()
+            .chain(&index.to_blocks)
+            .flat_map(|block| node_lanes(block, v).to_vec())
+            .collect()
+    }
+
+    #[test]
+    fn blocks_are_exact_on_both_sides_of_every_lane_boundary() {
+        let g = boundary_graph();
+        let n = g.node_count();
+        let matrix = DistanceMatrix::build(&g);
+        let cover = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
+        assert!(cover.len() > LANES, "the cover spans blocks ({} landmarks)", cover.len());
+        for a in g.nodes() {
+            for b in g.nodes() {
+                assert_eq!(cover.query(a, b), matrix.distance(a, b), "({a}, {b})");
+            }
+        }
+        for count in [0usize, 1, 63, 64, 65, 128, 129] {
+            // 37 is coprime to 200: distinct landmarks spread over both parts.
+            let lms: Vec<NodeId> = (0..count).map(|i| NodeId((i * 37 % n) as u32)).collect();
+            let selection = LandmarkSelection::Explicit(lms.clone());
+            let reference = LandmarkIndex::build_with_shards(&g, selection.clone(), 1);
+            assert_eq!(reference.landmarks(), &lms[..]);
+            assert!(reference.memory_bytes() >= 8 * n * LANES * count.div_ceil(LANES));
+            let rows = |direction| -> Vec<Vec<u32>> {
+                lms.iter().map(|&lm| bfs_distances_dense(&g, lm, direction)).collect()
+            };
+            let (forward, backward) = (rows(Direction::Forward), rows(Direction::Backward));
+            for v in g.nodes() {
+                let column = |rows: &[Vec<u32>]| -> Vec<u32> {
+                    rows.iter().map(|row| row[v.index()]).collect()
+                };
+                assert_eq!(reference.distvt(v), column(&forward), "{count}: distvt({v})");
+                assert_eq!(reference.distvf(v), column(&backward), "{count}: distvf({v})");
+                // Lanes past the last landmark, on either side, are slack.
+                let lanes = all_lanes(&reference, v.index());
+                let per_side = lanes.len() / 2;
+                for (i, &d) in lanes.iter().enumerate() {
+                    if i % per_side >= count {
+                        assert_eq!(d, UNREACHABLE, "{count}: slack entry {i} of {v}");
+                    }
+                }
+            }
+            for shards in [2, 3, 8] {
+                let index = LandmarkIndex::build_with_shards(&g, selection.clone(), shards);
+                assert_eq!(index.landmarks(), reference.landmarks(), "{count} at {shards}");
+                for v in 0..n {
+                    assert_eq!(
+                        all_lanes(&index, v),
+                        all_lanes(&reference, v),
+                        "{count} at {shards}"
+                    );
+                }
+            }
+            let mut grown = reference.clone();
+            grown.ensure_node_capacity(n + 5);
+            assert_eq!(grown.node_count(), n + 5);
+            for v in 0..n {
+                assert_eq!(all_lanes(&grown, v), all_lanes(&reference, v), "{count}: node {v}");
+            }
+            for v in n..n + 5 {
+                assert!(all_lanes(&grown, v).iter().all(|&d| d == UNREACHABLE), "{count}: {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn ids_outside_the_graph_never_become_landmarks() {
+        let mut g = DataGraph::new();
+        for i in 0..3 {
+            g.add_node(Attributes::labeled(format!("v{i}")));
+        }
+        g.add_edge(NodeId(0), NodeId(1));
+        g.add_edge(NodeId(1), NodeId(2));
+        let selection = LandmarkSelection::Explicit(vec![NodeId(7), NodeId(1), NodeId(3)]);
+        let index = LandmarkIndex::build(&g, selection);
+        assert_eq!(index.landmarks(), &[NodeId(1)]);
+        assert_eq!(index.query(NodeId(0), NodeId(2)), Some(2));
+        let mut index = LandmarkIndex::build(&g, LandmarkSelection::Explicit(vec![NodeId(7)]));
+        assert!(index.is_empty());
+        assert!(!index.push_landmark(&g, NodeId(9)));
+        assert!(!index.push_landmark(&g, NodeId(3)));
+        assert!(index.is_empty());
+        assert!(index.push_landmark(&g, NodeId(1)));
+        assert_eq!(index.query(NodeId(0), NodeId(2)), Some(2));
     }
 
     #[test]

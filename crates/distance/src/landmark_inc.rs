@@ -15,8 +15,12 @@
 //! All three apply the graph update themselves so that the index and the graph
 //! can never drift apart, and return [`LandmarkMaintenanceStats`] describing
 //! `|AFF|` (changed entries), which the experiments of Fig. 20 report.
+//!
+//! The procedures work one landmark at a time, in landmark order. They see a
+//! landmark's entries as a dense row indexed by node, a view of one lane of
+//! the index's 64-landmark blocks (see [`crate::landmark`]).
 
-use crate::landmark::{LandmarkIndex, UNREACHABLE};
+use crate::landmark::{LandmarkIndex, Lane, UNREACHABLE};
 use igpm_graph::hash::FastHashSet;
 use igpm_graph::{BatchUpdate, DataGraph, NodeId, Update};
 use std::cmp::Reverse;
@@ -80,25 +84,23 @@ pub fn ins_lm_tracked(
     // Maintain the covering invariant: any new shortest path using the new
     // edge passes through one of its endpoints, so adding one endpoint to the
     // landmark vector restores the cover (proof of Proposition 6.2).
-    if index.is_covering() && !index.is_landmark(from) && !index.is_landmark(to) {
-        index.push_landmark(graph, from);
+    if index.is_covering()
+        && !index.is_landmark(from)
+        && !index.is_landmark(to)
+        && index.push_landmark(graph, from)
+    {
         stats.landmarks_added = 1;
     }
 
-    let last = index.len();
-    let (from_lm, to_lm) = index.rows_mut();
-    // Skip the freshly added landmark (its rows are already exact).
-    let fresh_from = stats.landmarks_added;
-    for i in 0..last {
-        if fresh_from == 1 && i == last - 1 {
-            continue;
-        }
+    // Skip the freshly added landmark, the last one (its entries are
+    // already exact).
+    for i in 0..index.len() - stats.landmarks_added {
         // Distances from landmark i may shrink along `from -> to`.
         stats.affected_entries +=
-            propagate_decrease_forward(graph, &mut from_lm[i], from, to, affected);
+            propagate_decrease_forward(graph, &mut index.lane_from(i), from, to, affected);
         // Distances to landmark i may shrink along `from -> to`.
         stats.affected_entries +=
-            propagate_decrease_backward(graph, &mut to_lm[i], from, to, affected);
+            propagate_decrease_backward(graph, &mut index.lane_to(i), from, to, affected);
     }
     stats
 }
@@ -135,14 +137,15 @@ pub fn del_lm_tracked(
 
     // A vertex cover stays a vertex cover when edges are removed, so the
     // landmark vector itself never changes on deletions (Proposition 6.2).
-    let (from_lm, to_lm) = index.rows_mut();
-    for row in from_lm.iter_mut() {
+    for i in 0..index.len() {
         // dist(landmark, ·): the deleted edge supported `to` via `from`.
+        let row = &mut index.lane_from(i);
         stats.affected_entries +=
             repair_after_deletion(graph, row, to, from, DirectionKind::FromLandmark, affected);
     }
-    for row in to_lm.iter_mut() {
+    for i in 0..index.len() {
         // dist(·, landmark): the deleted edge supported `from` via `to`.
+        let row = &mut index.lane_to(i);
         stats.affected_entries +=
             repair_after_deletion(graph, row, from, to, DirectionKind::ToLandmark, affected);
     }
@@ -206,7 +209,7 @@ pub use igpm_graph::update::reduce_batch;
 /// Returns the number of entries that changed.
 fn propagate_decrease_forward(
     graph: &DataGraph,
-    row: &mut [u32],
+    row: &mut Lane<'_>,
     from: NodeId,
     to: NodeId,
     affected: &mut FastHashSet<NodeId>,
@@ -243,7 +246,7 @@ fn propagate_decrease_forward(
 /// `row`, where `row[v]` is the distance from `v` to a fixed landmark.
 fn propagate_decrease_backward(
     graph: &DataGraph,
-    row: &mut [u32],
+    row: &mut Lane<'_>,
     from: NodeId,
     to: NodeId,
     affected: &mut FastHashSet<NodeId>,
@@ -308,7 +311,7 @@ impl DirectionKind {
 /// (Fig. 14) followed by a bounded Dijkstra re-settlement.
 fn repair_after_deletion(
     graph: &DataGraph,
-    row: &mut [u32],
+    row: &mut Lane<'_>,
     start: NodeId,
     support: NodeId,
     kind: DirectionKind,
@@ -576,6 +579,60 @@ mod tests {
             assert!(index.is_landmark(a));
         }
         assert_exact(&index, &graph, "after covering insertion");
+    }
+
+    #[test]
+    fn inc_lm_pushes_landmarks_across_a_block_boundary_exactly() {
+        // 61 hubs in a ring, each with four leaves of its own; every leaf
+        // also points at the hub seven places on. The greedy cover is the 61
+        // hubs (degree ≥ 6 against the leaves' 2), three short of a block.
+        const HUBS: u32 = 61;
+        let mut graph = DataGraph::new();
+        for i in 0..HUBS * 5 {
+            graph.add_node(Attributes::labeled(format!("v{i}")));
+        }
+        let leaf = |hub: u32, k: u32| NodeId(HUBS + hub * 4 + k);
+        for hub in 0..HUBS {
+            graph.add_edge(NodeId(hub), NodeId((hub + 1) % HUBS));
+            for k in 0..4 {
+                graph.add_edge(NodeId(hub), leaf(hub, k));
+                graph.add_edge(leaf(hub, k), NodeId((hub + 7) % HUBS));
+            }
+        }
+        let mut index = LandmarkIndex::build(&graph, LandmarkSelection::VertexCover);
+        assert!(index.is_covering());
+        assert_eq!(index.len(), HUBS as usize);
+
+        let mut rng = StdRng::seed_from_u64(0xb0d);
+        for round in 0..6 {
+            // Insertions joining two non-landmarks push one endpoint as a
+            // landmark; deletions of present edges ride along.
+            let plain: Vec<NodeId> = graph.nodes().filter(|&v| !index.is_landmark(v)).collect();
+            let edges: Vec<(NodeId, NodeId)> = graph.edges().collect();
+            let mut batch = BatchUpdate::new();
+            for _ in 0..3 {
+                let a = plain[rng.gen_range(0..plain.len())];
+                let b = plain[rng.gen_range(0..plain.len())];
+                if a != b {
+                    batch.insert(a, b);
+                }
+                let (c, d) = edges[rng.gen_range(0..edges.len())];
+                batch.delete(c, d);
+            }
+            let before = index.len();
+            let stats = inc_lm(&mut index, &mut graph, &batch);
+            assert_eq!(index.len(), before + stats.landmarks_added, "round {round}");
+            let rebuilt = LandmarkIndex::build(
+                &graph,
+                LandmarkSelection::Explicit(index.landmarks().to_vec()),
+            );
+            assert_eq!(rebuilt.landmarks(), index.landmarks(), "round {round}");
+            for v in graph.nodes() {
+                assert_eq!(index.distvf(v), rebuilt.distvf(v), "round {round}: distvf({v})");
+                assert_eq!(index.distvt(v), rebuilt.distvt(v), "round {round}: distvt({v})");
+            }
+        }
+        assert!(index.len() > 64, "IncLM crossed the block boundary ({})", index.len());
     }
 
     #[test]

@@ -158,15 +158,21 @@ fn bounded_builds_are_bit_identical() {
 
 #[test]
 fn landmark_builds_are_bit_identical() {
-    // 220 nodes with a vertex cover of a few dozen landmarks crosses the
-    // |lm|·|V| spawn threshold, so the threaded branch runs and must agree.
+    // 220 nodes with a vertex cover of over a hundred landmarks spans two
+    // 64-landmark blocks and crosses the |lm|·|V| spawn threshold, so the
+    // threaded branch runs and must agree.
     let graph = synthetic_graph(&SyntheticConfig::new(220, 700, 4, 0x51));
+    let cover = LandmarkIndex::build_with_shards(&graph, LandmarkSelection::VertexCover, 1);
+    assert!(cover.len() > 64, "the cover spans blocks ({} landmarks)", cover.len());
     assert_landmark_build_equivalent(&graph, LandmarkSelection::VertexCover, "vertex cover");
     assert_landmark_build_equivalent(&graph, LandmarkSelection::TopDegree(24), "top degree");
     // An explicit selection with duplicates: dedup must keep first occurrence
     // identically in both the sequential and the fanned-out path.
     let lms: Vec<NodeId> = (0..40).map(|i| NodeId(i % 25)).collect();
     assert_landmark_build_equivalent(&graph, LandmarkSelection::Explicit(lms), "explicit dup");
+    // One landmark past a full block: the second block has a single lane.
+    let lms: Vec<NodeId> = (0..65).map(|i| NodeId(i * 3)).collect();
+    assert_landmark_build_equivalent(&graph, LandmarkSelection::Explicit(lms), "explicit 65");
 }
 
 #[test]
