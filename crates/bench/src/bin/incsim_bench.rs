@@ -95,10 +95,10 @@
 //! The `service` section prices the multi-pattern `MatchService` against N
 //! independent single-pattern indexes fed the same stream, swept over
 //! 1/16/256/1024 registered patterns: shared vs independent updates/s,
-//! snapshot-read p99 and the interner's candidate-set dedup, every service
-//! view asserted equal to its independent counterpart before any number is
-//! written. Ungated — the speedup depends on pattern-pool overlap, which is
-//! workload, not code.
+//! snapshot-read p99, the interner's candidate-set dedup and the service's
+//! memory per registered pattern, every service view asserted equal to its
+//! independent counterpart before any number is written. Ungated — the
+//! speedup depends on pattern-pool overlap, which is workload, not code.
 //!
 //! The `ingest` section prices the asynchronous ingestion front-end
 //! ([`igpm_core::Ingest`]) under three open-loop arrival patterns (poisson /
@@ -1169,7 +1169,9 @@ fn delta_sweep(graph: &DataGraph, pattern: &Pattern, seed: u64) -> JsonValue {
 /// * the independent-indexes wall time for the same stream — built untimed,
 ///   applies timed engine by engine — and the resulting speedup;
 /// * snapshot-read p99 (`matches(pattern_id)` round-robin over the handles);
-/// * interned candidate sets vs total pattern nodes.
+/// * interned candidate sets vs total pattern nodes;
+/// * bytes per pattern: `MatchService::memory_bytes()` right after the
+///   registrations, divided by the pattern count.
 ///
 /// Every service view is asserted equal to its independent counterpart
 /// before any number is written. Pinned to 1 shard so the per-update cost
@@ -1217,6 +1219,7 @@ fn service_sweep(seed: u64) -> JsonValue {
         let ids: Vec<PatternId> =
             patterns.iter().map(|p| service.register(p).expect("register")).collect();
         let interned = service.interned_candidate_sets();
+        let bytes_per_pattern = service.memory_bytes() / count;
         let start = Instant::now();
         for batch in &stream {
             service.apply(batch).expect("stream is valid");
@@ -1261,7 +1264,7 @@ fn service_sweep(seed: u64) -> JsonValue {
         println!(
             "service ({count} patterns): shared {:.3} ms ({:.0}/s), independent {:.3} ms \
              ({:.0}/s) ⇒ {speedup:.2}x; read p99 {:.1} µs; {interned} candidate sets for \
-             {total_nodes} pattern nodes",
+             {total_nodes} pattern nodes; {bytes_per_pattern} bytes per pattern",
             service_ns as f64 / 1e6,
             service_tput,
             baseline_ns as f64 / 1e6,
@@ -1278,6 +1281,7 @@ fn service_sweep(seed: u64) -> JsonValue {
             ("read_p99_us", JsonValue::Float(read_p99 as f64 / 1e3)),
             ("interned_candidate_sets", JsonValue::Int(interned as i64)),
             ("pattern_nodes", JsonValue::Int(total_nodes as i64)),
+            ("bytes_per_pattern", JsonValue::Int(bytes_per_pattern as i64)),
         ]));
     }
 

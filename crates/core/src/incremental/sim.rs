@@ -15,11 +15,20 @@
 //!   alpha memory: a store holding only the elements that pass a node's
 //!   condition (Beyhl & Giese, generalized discrimination networks).
 //! * **Pattern bitmasks.** Pattern arity is bounded by 64 (asserted at
-//!   [`SimulationIndex::build`]), so per slot the memberships
-//!   `v ∈ match(u)` / `v ∈ candt(u)` over *all* pattern nodes are two `u64`
-//!   words. The `ss` / `cs` / `cc` update classification of Table II — which
-//!   the seed implementation answered with `|E_p|` hash probes per update —
-//!   becomes a couple of word operations.
+//!   [`SimulationIndex::build`]), so the memberships `v ∈ match(u)` and
+//!   `v ∈ cand(u)` over *all* pattern nodes are one `u64` word each, and
+//!   `candt(u) = cand(u) \ match(u)` is one more word operation. The `ss` /
+//!   `cs` / `cc` update classification of Table II — which the seed
+//!   implementation answered with `|E_p|` hash probes per update — becomes
+//!   a couple of word operations.
+//! * **Candidacy classes.** `cand(u)` is fixed by the predicates, and edge
+//!   updates never change attributes, so a slot's `cand` word never changes
+//!   either; and the nodes of one pattern fall into few distinct `cand`
+//!   words (one per label, for label predicates). Each distinct word is a
+//!   *class*, stored once per pattern with the counter-row mask it implies,
+//!   and a slot keeps only its `match` word and a class id — the sharing of
+//!   one alpha memory per condition in Beyhl & Giese's discrimination
+//!   networks, applied to the slot state.
 //! * **Support counters.** For every slot `v` and every pattern node `u2`
 //!   with a pattern parent that `v` is a candidate of,
 //!   `cnt[v][u2] = |children(v) ∩ match(u2)|`, maintained incrementally in
@@ -39,9 +48,14 @@
 //!
 //! * 1.5 bits per data node — the slot bitvector and its ranks, the only
 //!   part that grows with `|V|`;
-//! * 28 bytes per slot — the two membership words, the offset of the
-//!   slot's counter row and the row's pattern-node mask (kept so that a
-//!   counter lookup is a popcount, not a walk over the slot's candidacies);
+//! * 16 bytes per slot — the `match` word, the class id and the offset of
+//!   the slot's counter row;
+//! * the class table — per distinct `cand` word, the word and its
+//!   counter-row mask (16 bytes) plus an interning map entry; at most
+//!   `min(2^|Vp|, slots)` classes, and a handful per pattern in practice. A
+//!   counter lookup reads the slot's class id, then the class's row mask
+//!   from a table that stays in L1, and takes a popcount: one load more
+//!   than a per-slot row mask, and no walk over the slot's candidacies;
 //! * 4 bytes per support counter — one per slot and pattern child of a
 //!   pattern node the slot's node is a candidate of.
 //!
@@ -129,6 +143,7 @@ use crate::incremental::{
 use crate::simulation::{candidates_with_shards, simulation_result_graph};
 use crate::stats::AffStats;
 use igpm_graph::fail;
+use igpm_graph::hash::FastHashMap;
 use igpm_graph::shard::{configured_shards, ShardPlan, PARALLEL_WORK_THRESHOLD};
 use igpm_graph::update::{net_effective_updates, reduce_batch, validate_batch, StagePanic};
 use igpm_graph::{
@@ -144,23 +159,22 @@ use std::sync::Arc;
 /// Maximum pattern arity representable in the membership bitmasks.
 pub const MAX_PATTERN_NODES: usize = 64;
 
-/// Membership bitmasks of one slot: bit `u` of `matched` ⇔ `v ∈ match(u)`,
-/// bit `u` of `candt` ⇔ `v ∈ candt(u)` (satisfies the predicate of `u` but
-/// does not currently match it). The two words live side by side so
-/// classification reads one cache line per node.
+/// Membership bitmasks of one slot as its readers see them: bit `u` of
+/// `matched` ⇔ `v ∈ match(u)`, bit `u` of `cand` ⇔ `v ∈ cand(u)`. Only
+/// `matched` is stored per slot; `cand` is the slot's candidacy class
+/// ([`SlotLayout::cand`]).
 #[derive(Debug, Clone, Copy, Default)]
 struct NodeMasks {
     matched: u64,
-    candt: u64,
+    cand: u64,
 }
 
 impl NodeMasks {
-    /// Every pattern node the slot's node is a candidate of. Fixed for the
-    /// slot's lifetime: promotion and demotion only move a bit between the
-    /// two words.
+    /// `candt(u) = cand(u) \ match(u)`: the pattern nodes whose predicate
+    /// the node satisfies but which it does not currently match.
     #[inline]
-    fn cand(self) -> u64 {
-        self.matched | self.candt
+    fn candt(self) -> u64 {
+        self.cand & !self.matched
     }
 }
 
@@ -182,11 +196,22 @@ impl Iterator for Bits {
     }
 }
 
+/// One candidacy class: a `cand` word some slot carries, and the counter
+/// row it implies. Fixed once interned.
+#[derive(Debug, Clone, Copy)]
+struct CandClass {
+    /// The pattern nodes the class's slots are candidates of.
+    cand: u64,
+    /// The pattern nodes its slots keep support counters for, one per bit
+    /// in ascending order ([`row_mask`] of `cand`).
+    need: u64,
+}
+
 /// Where one pattern's per-node state lives: a rank bitvector over node ids
 /// marking the nodes that own a slot (the candidates of some pattern node,
-/// slots in ascending node order), plus where every slot's counter row
-/// starts and which pattern nodes it holds counters for. Fixed between node
-/// additions; read-only during every batch stage.
+/// slots in ascending node order), plus every slot's candidacy class and
+/// where its counter row starts. Fixed between node additions; read-only
+/// during every batch stage.
 #[derive(Debug, Clone)]
 struct SlotLayout {
     /// Bit `v % 64` of `words[v / 64]` ⇔ node `v` owns a slot.
@@ -198,16 +223,18 @@ struct SlotLayout {
     /// `rows[s]..rows[s + 1]` are slot `s`'s counter positions
     /// (`rows.len() = len + 1`).
     rows: Vec<u32>,
-    /// `needs[s]`: the pattern nodes slot `s` keeps counters for, one per
-    /// bit in ascending order ([`row_mask`] of its masks, fixed for the
-    /// slot's lifetime).
-    needs: Vec<u64>,
+    /// `class[s]`: slot `s`'s candidacy class, an index into `classes`.
+    class: Vec<u32>,
+    /// The distinct candidacy classes, in order of first appearance.
+    classes: Vec<CandClass>,
+    /// `cand` word → its index in `classes`.
+    class_of: FastHashMap<u64, u32>,
 }
 
 impl SlotLayout {
     /// The layout of `nv` nodes whose slot owners are the nodes listed in
-    /// `lists`, with no counter rows yet ([`SlotLayout::push_row`] adds them
-    /// in slot order).
+    /// `lists`, with no classes or counter rows yet
+    /// ([`SlotLayout::push_slot`] adds them in slot order).
     fn from_lists(nv: usize, lists: &[Arc<Vec<NodeId>>]) -> Self {
         let mut words = vec![0u64; nv.div_ceil(64)];
         for list in lists {
@@ -221,7 +248,17 @@ impl SlotLayout {
             ranks.push(u32::try_from(len).expect("slot count exceeds u32"));
             len += word.count_ones() as usize;
         }
-        SlotLayout { words, ranks, len, rows: vec![0], needs: Vec::with_capacity(len) }
+        let mut rows = Vec::with_capacity(len + 1);
+        rows.push(0);
+        SlotLayout {
+            words,
+            ranks,
+            len,
+            rows,
+            class: Vec::with_capacity(len),
+            classes: Vec::new(),
+            class_of: FastHashMap::default(),
+        }
     }
 
     /// The slot of node `v`, if it owns one: one word test and a popcount.
@@ -291,46 +328,75 @@ impl SlotLayout {
         self.nodes_in(0..self.words.len() * 64)
     }
 
-    /// The pattern nodes slot `s` keeps support counters for.
+    /// The pattern nodes slot `s` keeps support counters for: one load from
+    /// the class table.
     #[inline]
     fn need(&self, s: usize) -> u64 {
-        self.needs[s]
+        self.classes[self.class[s] as usize].need
     }
 
-    /// Appends the counter row of the next slot: one counter per pattern
-    /// node in `need`.
-    fn push_row(&mut self, need: u64) {
+    /// The pattern nodes slot `s`'s node is a candidate of.
+    #[inline]
+    fn cand(&self, s: usize) -> u64 {
+        self.classes[self.class[s] as usize].cand
+    }
+
+    /// The membership masks of slot `s`, whose match word is `matched`.
+    #[inline]
+    fn masks(&self, s: usize, matched: u64) -> NodeMasks {
+        NodeMasks { matched, cand: self.cand(s) }
+    }
+
+    /// Appends the next slot, whose node is a candidate of the pattern nodes
+    /// in `cand`: its class, interned on first sight, and its counter row,
+    /// one counter per pattern node of the class's [`row_mask`].
+    fn push_slot(&mut self, cand: u64, child_mask: &[u64]) {
+        let classes = &mut self.classes;
+        let class = *self.class_of.entry(cand).or_insert_with(|| {
+            classes.push(CandClass { cand, need: row_mask(child_mask, cand) });
+            u32::try_from(classes.len() - 1).expect("classes never outnumber slots")
+        });
+        let need = self.classes[class as usize].need;
         let end = self.rows[self.rows.len() - 1] as usize + need.count_ones() as usize;
         self.rows.push(u32::try_from(end).expect("support counters exceed u32 positions"));
-        self.needs.push(need);
+        self.class.push(class);
     }
 
-    /// Covers node `v`, the node after every covered one; when `need` is
-    /// `Some`, `v` owns the next slot with that counter row.
-    fn push_node(&mut self, v: usize, need: Option<u64>) {
+    /// Covers node `v`, the node after every covered one; when `cand` is
+    /// non-empty, `v` owns the next slot (see [`SlotLayout::push_slot`]).
+    fn push_node(&mut self, v: usize, cand: u64, child_mask: &[u64]) {
         if v >> 6 == self.words.len() {
             self.words.push(0);
             self.ranks.push(u32::try_from(self.len).expect("slot count exceeds u32"));
         }
-        if let Some(need) = need {
+        if cand != 0 {
             self.words[v >> 6] |= 1u64 << (v & 63);
             self.len += 1;
-            self.push_row(need);
+            self.push_slot(cand, child_mask);
         }
+    }
+
+    /// Heap bytes of the class table: the classes and the interning map
+    /// (counted by capacity, one control byte per bucket).
+    fn class_table_bytes(&self) -> usize {
+        self.classes.capacity() * size_of::<CandClass>()
+            + self.class_of.capacity() * (size_of::<(u64, u32)>() + 1)
     }
 
     /// Heap bytes of the layout.
     fn memory_bytes(&self) -> usize {
-        (self.words.capacity() + self.needs.capacity()) * size_of::<u64>()
-            + (self.ranks.capacity() + self.rows.capacity()) * size_of::<u32>()
+        self.words.capacity() * size_of::<u64>()
+            + (self.ranks.capacity() + self.rows.capacity() + self.class.capacity())
+                * size_of::<u32>()
+            + self.class_table_bytes()
     }
 }
 
-/// The pattern nodes whose support counters a slot with masks `m` keeps: the
-/// pattern children of every pattern node its node is a candidate of.
+/// The pattern nodes whose support counters a slot whose node is a
+/// candidate of `cand` keeps: the pattern children of every one of them.
 #[inline]
-fn row_mask(child_mask: &[u64], m: NodeMasks) -> u64 {
-    Bits(m.cand()).fold(0, |need, u| need | child_mask[u])
+fn row_mask(child_mask: &[u64], cand: u64) -> u64 {
+    Bits(cand).fold(0, |need, u| need | child_mask[u])
 }
 
 /// Offset of `u2`'s counter within a row whose pattern nodes are `need`
@@ -354,7 +420,8 @@ fn row_has_support(row: &[u32], need: u64, children: u64) -> bool {
 #[derive(Clone, Copy)]
 struct SlotView<'a> {
     layout: &'a SlotLayout,
-    masks: &'a [NodeMasks],
+    /// The `match` word of every slot.
+    matched: &'a [u64],
     child_mask: &'a [u64],
 }
 
@@ -362,7 +429,19 @@ impl SlotView<'_> {
     /// The membership masks of node `v` — empty for a node without a slot.
     #[inline]
     fn masks_of(&self, v: usize) -> NodeMasks {
-        self.layout.slot(v).map_or(NodeMasks::default(), |s| self.masks[s])
+        self.layout.slot(v).map_or(NodeMasks::default(), |s| self.masks(s))
+    }
+
+    /// The membership masks of slot `s`.
+    #[inline]
+    fn masks(&self, s: usize) -> NodeMasks {
+        self.layout.masks(s, self.matched[s])
+    }
+
+    /// `masks_of(v).matched`, without the class lookup.
+    #[inline]
+    fn matched_of(&self, v: usize) -> u64 {
+        self.layout.slot(v).map_or(0, |s| self.matched[s])
     }
 }
 
@@ -381,10 +460,10 @@ pub struct SimulationIndex {
     cand_lists: Vec<Arc<Vec<NodeId>>>,
     /// Number of nodes `cand_lists` covers.
     listed: usize,
-    /// Node → slot map and the counter-row offsets.
+    /// Node → slot map, the candidacy classes and the counter-row offsets.
     layout: SlotLayout,
-    /// Membership masks per slot.
-    masks: Vec<NodeMasks>,
+    /// The `match` word per slot (its `cand` word is its class's).
+    matched: Vec<u64>,
     /// The support counters, one row per slot: `cnt[v][u2] =
     /// |children(v) ∩ match(u2)|` for each `u2` in the slot's
     /// [`row_mask`], ascending.
@@ -531,10 +610,11 @@ impl SimulationIndex {
             }
         }
 
-        // Start with match(u) = all candidates of u: one slot per node in
-        // the union of the lists, then one counter row per slot.
+        // Start with match(u) = cand(u): one slot per node in the union of
+        // the lists, whose initial match word is its candidacy, then one
+        // class and counter row per slot.
         let mut layout = SlotLayout::from_lists(nv, &cand_lists);
-        let mut masks = vec![NodeMasks::default(); layout.len];
+        let mut matched = vec![0u64; layout.len];
         let mut match_count = vec![0usize; np];
         for (u, list) in cand_lists.iter().enumerate() {
             // Slot order (and so the bit-identity of sharded builds) follows
@@ -543,12 +623,11 @@ impl SimulationIndex {
             debug_assert!(list.windows(2).all(|w| w[0] < w[1]), "candidate list not id-sorted");
             match_count[u] = list.len();
             for v in list.iter() {
-                masks[layout.slot(v.index()).expect("listed candidates own a slot")].matched |=
-                    1 << u;
+                matched[layout.slot(v.index()).expect("listed candidates own a slot")] |= 1 << u;
             }
         }
-        for &m in &masks {
-            layout.push_row(row_mask(&child_mask, m));
+        for &cand in &matched {
+            layout.push_slot(cand, &child_mask);
         }
 
         let mut index = SimulationIndex {
@@ -559,7 +638,7 @@ impl SimulationIndex {
             listed: nv,
             cnt: vec![0u32; layout.counters()],
             layout,
-            masks,
+            matched,
             match_count,
             child_mask,
             parent_masks,
@@ -579,8 +658,11 @@ impl SimulationIndex {
         // numbers as a reverse-adjacency pass, but writing only owned rows),
         // reading the masks seeded above.
         let plan = ShardPlan::new(nv, shards);
-        let view =
-            SlotView { layout: &index.layout, masks: &index.masks, child_mask: &index.child_mask };
+        let view = SlotView {
+            layout: &index.layout,
+            matched: &index.matched,
+            child_mask: &index.child_mask,
+        };
         let seeds: Vec<Seed> = if plan.count > 1 && nv >= PARALLEL_WORK_THRESHOLD {
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(plan.count);
@@ -631,10 +713,11 @@ impl SimulationIndex {
             counters: vec![0; nv * np],
             match_count: self.match_count.clone(),
         };
+        let view = self.view();
         for (s, v) in self.layout.nodes().enumerate() {
-            let m = self.masks[s];
+            let m = view.masks(s);
             snapshot.matched[v] = m.matched;
-            snapshot.candt[v] = m.candt;
+            snapshot.candt[v] = m.candt();
             let need = self.layout.need(s);
             for (u2, &count) in Bits(need).zip(&self.cnt[self.layout.row(s)]) {
                 snapshot.counters[v * np + u2] = count;
@@ -644,12 +727,13 @@ impl SimulationIndex {
     }
 
     /// Approximate heap bytes of the index's auxiliary state: the slot
-    /// layout, the per-slot masks, the counter rows, the per-pattern-node
-    /// arrays and the candidate lists only this index holds. Lists shared
-    /// with a [`MatchService`](crate::service::MatchService)'s interner are
-    /// the service's to count, and the lazily materialised match view is a
-    /// copy of the answer, not auxiliary state. Grows with `Σ|cand(u)|` and
-    /// by 1.5 bits per data node (see the [module docs](self)).
+    /// layout with its class table, the per-slot match words, the counter
+    /// rows, the per-pattern-node arrays and the candidate lists only this
+    /// index holds. Lists shared with a
+    /// [`MatchService`](crate::service::MatchService)'s interner are the
+    /// service's to count, and the lazily materialised match view is a copy
+    /// of the answer, not auxiliary state. Grows with `Σ|cand(u)|` and by
+    /// 1.5 bits per data node (see the [module docs](self)).
     pub fn memory_bytes(&self) -> usize {
         let lists: usize = self
             .cand_lists
@@ -664,7 +748,7 @@ impl SimulationIndex {
                 * size_of::<u64>()
             + self.cand_lists.capacity() * size_of::<Arc<Vec<NodeId>>>();
         self.layout.memory_bytes()
-            + self.masks.capacity() * size_of::<NodeMasks>()
+            + self.matched.capacity() * size_of::<u64>()
             + self.cnt.capacity() * size_of::<u32>()
             + per_pattern_node
             + lists
@@ -760,7 +844,7 @@ impl SimulationIndex {
     }
 
     fn rebuild_relation(&self) -> MatchRelation {
-        rebuild_relation_from(&self.layout, &self.masks, &self.match_count, self.np)
+        rebuild_relation_from(&self.layout, &self.matched, &self.match_count, self.np)
     }
 
     fn invalidate_cache(&mut self) {
@@ -769,7 +853,7 @@ impl SimulationIndex {
 
     /// The read-only slot view of the index.
     fn view(&self) -> SlotView<'_> {
-        SlotView { layout: &self.layout, masks: &self.masks, child_mask: &self.child_mask }
+        SlotView { layout: &self.layout, matched: &self.matched, child_mask: &self.child_mask }
     }
 
     /// True if every pattern node currently has at least one match.
@@ -788,14 +872,14 @@ impl SimulationIndex {
     /// The current candidates of one pattern node, sorted. Costs
     /// `O(|cand(u)|)`.
     pub fn candidate_set(&self, u: PatternNodeId) -> Vec<NodeId> {
-        self.collect_bit(u, |m| m.candt)
+        self.collect_bit(u, NodeMasks::candt)
     }
 
     /// True if `v` currently matches `u` (one word op). Nodes the index has
     /// not yet observed (added after the last index operation) match nothing.
     #[inline]
     pub fn contains(&self, u: PatternNodeId, v: NodeId) -> bool {
-        self.view().masks_of(v.index()).matched & (1 << u.index()) != 0
+        self.view().matched_of(v.index()) & (1 << u.index()) != 0
     }
 
     /// The candidates of `u` whose `select`ed mask has `u`'s bit: the listed
@@ -1114,15 +1198,15 @@ impl SimulationIndex {
     /// invalidation.
     fn finish_apply(&mut self, stats: AffStats, was_match: bool) -> ApplyOutcome {
         let now_match = self.is_match();
-        let (layout, masks, match_count, np) =
-            (&self.layout, &self.masks, &self.match_count, self.np);
+        let (layout, matched, match_count, np) =
+            (&self.layout, &self.matched, &self.match_count, self.np);
         let (delta, cache_op): (MatchDelta, CacheOp) = finalize_delta(
             &mut self.tracker,
             was_match,
             now_match,
             np,
-            || raw_mask_pairs(layout, masks),
-            || rebuild_relation_from(layout, masks, match_count, np),
+            || raw_mask_pairs(layout, matched),
+            || rebuild_relation_from(layout, matched, match_count, np),
         );
         match cache_op {
             CacheOp::Keep => {}
@@ -1299,8 +1383,8 @@ impl SimulationIndex {
     fn inserted_touches_scc(&self, inserted: &[(NodeId, NodeId)]) -> bool {
         let view = self.view();
         inserted.iter().any(|&(a, b)| {
-            let known_b = view.masks_of(b.index()).cand();
-            let bits = view.masks_of(a.index()).cand() & self.scc_member_mask;
+            let known_b = view.masks_of(b.index()).cand;
+            let bits = view.masks_of(a.index()).cand & self.scc_member_mask;
             Bits(bits).any(|u| self.child_mask[u] & known_b != 0)
         })
     }
@@ -1323,7 +1407,7 @@ impl SimulationIndex {
     /// seeding it performs.
     fn absorb_unit(&mut self, update: Update, worklist: &mut Vec<Seed>, stats: &mut AffStats) {
         let view =
-            SlotView { layout: &self.layout, masks: &self.masks, child_mask: &self.child_mask };
+            SlotView { layout: &self.layout, matched: &self.matched, child_mask: &self.child_mask };
         absorb_edge(view, &self.parent_masks, &mut self.cnt, 0, &update, worklist, stats);
     }
 
@@ -1346,12 +1430,11 @@ impl SimulationIndex {
             stats.nodes_visited += 1;
             let bit = 1u64 << u;
             let Some(s) = self.layout.slot(v) else { continue };
-            if self.masks[s].matched & bit == 0 || self.has_counter_support(u, s) {
+            if self.matched[s] & bit == 0 || self.has_counter_support(u, s) {
                 continue;
             }
             // v no longer matches u: demote it to a candidate.
-            self.masks[s].matched &= !bit;
-            self.masks[s].candt |= bit;
+            self.matched[s] &= !bit;
             self.match_count[u] -= 1;
             self.tracker.record_removed(u, v as u32);
             stats.matches_removed += 1;
@@ -1366,7 +1449,7 @@ impl SimulationIndex {
                 *counter -= 1;
                 stats.counter_updates += 1;
                 if *counter == 0 {
-                    for u_parent in Bits(self.masks[ps].matched & pmask) {
+                    for u_parent in Bits(self.matched[ps] & pmask) {
                         worklist.push((u_parent as u32, p.0));
                     }
                 }
@@ -1418,9 +1501,7 @@ impl SimulationIndex {
         worklist: &mut Vec<(u32, u32)>,
         stats: &mut AffStats,
     ) {
-        let bit = 1u64 << u;
-        self.masks[s].candt &= !bit;
-        self.masks[s].matched |= bit;
+        self.matched[s] |= 1u64 << u;
         self.match_count[u] += 1;
         self.tracker.record_inserted(u, v as u32);
         stats.matches_added += 1;
@@ -1434,7 +1515,7 @@ impl SimulationIndex {
             *counter += 1;
             stats.counter_updates += 1;
             if *counter == 1 {
-                for u_parent in Bits(self.masks[ps].candt & pmask) {
+                for u_parent in Bits(self.layout.masks(ps, self.matched[ps]).candt() & pmask) {
                     worklist.push((u_parent as u32, p.0));
                 }
             }
@@ -1454,7 +1535,7 @@ impl SimulationIndex {
             let (u, v) = (u as usize, v as usize);
             stats.nodes_visited += 1;
             let Some(s) = self.layout.slot(v) else { continue };
-            if self.masks[s].candt & (1 << u) == 0 || !self.has_counter_support(u, s) {
+            if self.view().masks(s).candt() & (1 << u) == 0 || !self.has_counter_support(u, s) {
                 continue;
             }
             self.promote(graph, u, (s, v), worklist, stats);
@@ -1586,7 +1667,7 @@ impl SimulationIndex {
         stats: &mut AffStats,
     ) -> (Vec<Seed>, Vec<Seed>) {
         let view =
-            SlotView { layout: &self.layout, masks: &self.masks, child_mask: &self.child_mask };
+            SlotView { layout: &self.layout, matched: &self.matched, child_mask: &self.child_mask };
         let parent_masks = &self.parent_masks;
         // Absorbs `updates` into the counter rows `cnt` (starting at counter
         // position `base`).
@@ -1658,7 +1739,7 @@ impl SimulationIndex {
             np: self.np,
             plan,
         };
-        let mut states = shard_states(&mut self.masks, &mut self.cnt, ctx);
+        let mut states = shard_states(&mut self.matched, &mut self.cnt, ctx);
         for seed in seeds {
             states[plan.owner(seed.1 as usize)].worklist.push(seed);
         }
@@ -1712,11 +1793,13 @@ impl SimulationIndex {
     /// Extends the slot state when the graph gained nodes since the index
     /// was last applied. A new node that satisfies some pattern node's
     /// predicate gets the next slot (node ids only grow, so slots stay in
-    /// ascending node order) and a zeroed counter row; the batch that brings
-    /// its edges absorbs them like any other. It matches a pattern node iff
-    /// it satisfies the predicate of a *childless* pattern node; otherwise it
-    /// starts as a candidate. Every other new node costs its bit in the slot
-    /// bitvector.
+    /// ascending node order), its candidacy class — a new one if no earlier
+    /// node satisfied the same predicates — and a zeroed counter row; the
+    /// batch that brings its edges absorbs them like any other. It matches a
+    /// pattern node iff it satisfies the predicate of a *childless* pattern
+    /// node; otherwise it starts as a candidate. Every other new node costs
+    /// its bit in the slot bitvector. This is the only place the class table
+    /// grows, and it runs before every batch stage.
     fn ensure_node_capacity(&mut self, graph: &DataGraph) {
         let new_nv = graph.node_count();
         if new_nv <= self.nv {
@@ -1724,27 +1807,24 @@ impl SimulationIndex {
         }
         for v in self.nv..new_nv {
             let attrs = graph.attrs(NodeId::from_index(v));
-            let mut m = NodeMasks::default();
+            let (mut cand, mut matched) = (0u64, 0u64);
             for u in self.pattern.nodes() {
                 if !self.pattern.predicate(u).satisfied_by(attrs) {
                     continue;
                 }
+                cand |= 1 << u.index();
                 if self.child_mask[u.index()] == 0 {
                     // A childless-pattern match is a view-level insertion the
                     // tracker must see (it is vacuously supported, so no later
                     // stage of this batch can demote it again).
-                    m.matched |= 1 << u.index();
+                    matched |= 1 << u.index();
                     self.match_count[u.index()] += 1;
                     self.tracker.record_inserted(u.index(), v as u32);
-                } else {
-                    m.candt |= 1 << u.index();
                 }
             }
-            if m.cand() == 0 {
-                self.layout.push_node(v, None);
-            } else {
-                self.layout.push_node(v, Some(row_mask(&self.child_mask, m)));
-                self.masks.push(m);
+            self.layout.push_node(v, cand, &self.child_mask);
+            if cand != 0 {
+                self.matched.push(matched);
             }
         }
         self.cnt.resize(self.layout.counters(), 0);
@@ -1768,13 +1848,13 @@ impl SimulationIndex {
                 let expected = graph
                     .children(NodeId::from_index(v))
                     .iter()
-                    .filter(|w| view.masks_of(w.index()).matched & (1 << u2) != 0)
+                    .filter(|w| view.matched_of(w.index()) & (1 << u2) != 0)
                     .count() as u32;
                 assert_eq!(row[row_offset(need, u2)], expected, "counter drift at (n{v}, u{u2})");
             }
         }
         for u in 0..self.np {
-            let count = self.masks.iter().filter(|m| m.matched & (1 << u) != 0).count();
+            let count = self.matched.iter().filter(|&&m| m & (1 << u) != 0).count();
             assert_eq!(self.match_count[u], count, "match_count drift at u{u}");
         }
     }
@@ -1848,15 +1928,15 @@ fn classify(view: SlotView<'_>, update: &Update) -> bool {
 /// sharded `minDelta` pass can classify on worker threads without capturing
 /// the index (whose lazy match cache is not `Sync`).
 fn is_ss_edge(view: SlotView<'_>, from: NodeId, to: NodeId) -> bool {
-    let target = view.masks_of(to.index()).matched;
-    Bits(view.masks_of(from.index()).matched).any(|u| view.child_mask[u] & target != 0)
+    let target = view.matched_of(to.index());
+    Bits(view.matched_of(from.index())).any(|u| view.child_mask[u] & target != 0)
 }
 
 /// True if `(from, to)` is a cs or cc edge for some pattern edge: the source
 /// is a candidate and the target is a candidate or a match (Table II).
 fn is_cs_or_cc_edge(view: SlotView<'_>, from: NodeId, to: NodeId) -> bool {
-    let target = view.masks_of(to.index()).cand();
-    Bits(view.masks_of(from.index()).candt).any(|u| view.child_mask[u] & target != 0)
+    let target = view.masks_of(to.index()).cand;
+    Bits(view.masks_of(from.index()).candt()).any(|u| view.child_mask[u] & target != 0)
 }
 
 /// The slot of `p` and the position of its support counter for `u2` in
@@ -1893,11 +1973,11 @@ fn absorb_edge(
 ) {
     let (a, b) = update.endpoints();
     let Some(sa) = view.layout.slot(a.index()) else { return };
-    let am = view.masks[sa];
+    let am = view.masks(sa);
     let need = view.layout.need(sa);
     let row = view.layout.rows[sa] as usize - base;
     let kind = if update.is_insert() { RoundKind::Promote } else { RoundKind::Demote };
-    for u2 in Bits(view.masks_of(b.index()).matched & need) {
+    for u2 in Bits(view.matched_of(b.index()) & need) {
         let counter = &mut cnt[row + row_offset(need, u2)];
         stats.counter_updates += 1;
         if kind.step(counter) {
@@ -1933,7 +2013,7 @@ fn derive_counters_shard(
         }
         let row = &mut cnt[local(s)];
         for &w in graph.children(NodeId::from_index(v)) {
-            for u2 in Bits(view.masks_of(w.index()).matched & need) {
+            for u2 in Bits(view.matched_of(w.index()) & need) {
                 row[row_offset(need, u2)] += 1;
             }
         }
@@ -1942,7 +2022,7 @@ fn derive_counters_shard(
     for (s, v) in slots.zip(view.layout.nodes_in(nodes)) {
         let need = view.layout.need(s);
         let row = &cnt[local(s)];
-        for u in Bits(view.masks[s].matched) {
+        for u in Bits(view.matched[s]) {
             if !row_has_support(row, need, view.child_mask[u]) {
                 seeds.push((u as u32, v as u32));
             }
@@ -2157,7 +2237,7 @@ fn gather_tentative(view: SlotView<'_>, comp_mask: u64, nodes: Range<usize>) -> 
     slots
         .zip(view.layout.nodes_in(nodes))
         .filter_map(|(slot, v)| {
-            let bits = view.masks[slot].candt & comp_mask;
+            let bits = view.masks(slot).candt() & comp_mask;
             (bits != 0).then_some(Tentative { v: v as u32, slot: slot as u32, bits })
         })
         .collect()
@@ -2349,7 +2429,7 @@ impl RoundKind {
     fn members(self, m: NodeMasks) -> u64 {
         match self {
             RoundKind::Demote => m.matched,
-            RoundKind::Promote => m.candt,
+            RoundKind::Promote => m.candt(),
         }
     }
 }
@@ -2371,8 +2451,8 @@ struct ShardState<'a> {
     slot_base: usize,
     /// First counter position owned by this shard.
     cnt_base: usize,
-    /// Membership masks of the owned slots.
-    masks: &'a mut [NodeMasks],
+    /// The `match` words of the owned slots.
+    matched: &'a mut [u64],
     /// Counter rows of the owned slots.
     cnt: &'a mut [u32],
     /// Seeds `(u, v)` with `v` owned by this shard, pending evaluation.
@@ -2397,25 +2477,25 @@ struct ShardState<'a> {
 /// Splits the slot state into disjoint per-shard views: each node range of
 /// the plan owns a contiguous run of slots and of counter rows.
 fn shard_states<'a>(
-    masks: &'a mut [NodeMasks],
+    matched: &'a mut [u64],
     cnt: &'a mut [u32],
     ctx: DrainCtx<'_>,
 ) -> Vec<ShardState<'a>> {
     let plan = ctx.plan;
     let mut states = Vec::with_capacity(plan.count);
-    let mut masks_rest = masks;
+    let mut matched_rest = matched;
     let mut cnt_rest = cnt;
     for shard in 0..plan.count {
         let slots = ctx.layout.slots_of(&plan.range(shard));
         let counters = ctx.layout.rows_of(&slots);
-        let (shard_masks, masks_tail) = masks_rest.split_at_mut(slots.len());
+        let (shard_matched, matched_tail) = matched_rest.split_at_mut(slots.len());
         let (shard_cnt, cnt_tail) = cnt_rest.split_at_mut(counters.len());
-        masks_rest = masks_tail;
+        matched_rest = matched_tail;
         cnt_rest = cnt_tail;
         states.push(ShardState {
             slot_base: slots.start,
             cnt_base: counters.start,
-            masks: shard_masks,
+            matched: shard_matched,
             cnt: shard_cnt,
             worklist: Vec::new(),
             inbox: Vec::new(),
@@ -2472,7 +2552,7 @@ fn drain_round(st: &mut ShardState<'_>, kind: RoundKind, ctx: DrainCtx<'_>) {
     for (node, u2) in inbox {
         let (node, u2) = (node as usize, u2 as usize);
         let s = ctx.layout.slot(node).expect("counter messages go to slot owners");
-        let m = st.masks[s - st.slot_base];
+        let m = ctx.layout.masks(s, st.matched[s - st.slot_base]);
         let need = ctx.layout.need(s);
         debug_assert!(need & (1u64 << u2) != 0, "message for a counter n{node} does not keep");
         let row = local_row(s, st.cnt_base);
@@ -2496,7 +2576,7 @@ fn drain_round(st: &mut ShardState<'_>, kind: RoundKind, ctx: DrainCtx<'_>) {
         let Some(s) = ctx.layout.slot(v) else { continue };
         let local = s - st.slot_base;
         let bit = 1u64 << u;
-        let m = st.masks[local];
+        let m = ctx.layout.masks(s, st.matched[local]);
         if kind.members(m) & bit == 0 {
             continue;
         }
@@ -2508,8 +2588,7 @@ fn drain_round(st: &mut ShardState<'_>, kind: RoundKind, ctx: DrainCtx<'_>) {
                 if supported {
                     continue;
                 }
-                st.masks[local].matched &= !bit;
-                st.masks[local].candt |= bit;
+                st.matched[local] &= !bit;
                 st.match_delta[u] -= 1;
                 st.delta_removed.push((u as u32, v as u32));
                 st.stats.matches_removed += 1;
@@ -2518,8 +2597,7 @@ fn drain_round(st: &mut ShardState<'_>, kind: RoundKind, ctx: DrainCtx<'_>) {
                 if !supported {
                     continue;
                 }
-                st.masks[local].candt &= !bit;
-                st.masks[local].matched |= bit;
+                st.matched[local] |= bit;
                 st.match_delta[u] += 1;
                 st.delta_inserted.push((u as u32, v as u32));
                 st.stats.matches_added += 1;
@@ -2535,14 +2613,14 @@ fn drain_round(st: &mut ShardState<'_>, kind: RoundKind, ctx: DrainCtx<'_>) {
     }
 }
 
-/// Materialises the observable view from the membership masks: the empty
+/// Materialises the observable view from the match words: the empty
 /// relation when any pattern node is unmatched (`P ⋬ G`), otherwise one
 /// sorted list per pattern node. A free function over the individual fields
 /// so [`SimulationIndex::finish_apply`] can call it while the delta tracker
 /// is mutably borrowed.
 fn rebuild_relation_from(
     layout: &SlotLayout,
-    masks: &[NodeMasks],
+    matched: &[u64],
     match_count: &[usize],
     np: usize,
 ) -> MatchRelation {
@@ -2551,8 +2629,8 @@ fn rebuild_relation_from(
     }
     let mut lists: Vec<Vec<NodeId>> = match_count.iter().map(|&c| Vec::with_capacity(c)).collect();
     // Ascending slots = ascending v ⇒ every per-pattern-node list is sorted.
-    for (m, v) in masks.iter().zip(layout.nodes()) {
-        for u in Bits(m.matched) {
+    for (&m, v) in matched.iter().zip(layout.nodes()) {
+        for u in Bits(m) {
             lists[u].push(NodeId::from_index(v));
         }
     }
@@ -2562,10 +2640,10 @@ fn rebuild_relation_from(
 /// Enumerates the raw mask-level match pairs `(u, v)` regardless of totality
 /// — the collapse case of [`finalize_delta`] reconstructs the pre-batch view
 /// from these by undoing the batch's recorded churn.
-fn raw_mask_pairs(layout: &SlotLayout, masks: &[NodeMasks]) -> Vec<(u32, u32)> {
+fn raw_mask_pairs(layout: &SlotLayout, matched: &[u64]) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
-    for (m, v) in masks.iter().zip(layout.nodes()) {
-        for u in Bits(m.matched) {
+    for (&m, v) in matched.iter().zip(layout.nodes()) {
+        for u in Bits(m) {
             pairs.push((u as u32, v as u32));
         }
     }
@@ -2718,7 +2796,7 @@ mod tests {
         degree_biased_deletions, degree_biased_insertions, generate_pattern, mixed_batch,
         synthetic_graph, PatternGenConfig, PatternShape, SyntheticConfig, UpdateGenConfig,
     };
-    use igpm_graph::{Attributes, EdgeBound, Predicate};
+    use igpm_graph::{Attributes, CompareOp, EdgeBound, Predicate};
 
     /// The FriendFeed graph of Fig. 4 (base edges only) plus handles on the
     /// nodes used by Examples 4.1–5.5.
@@ -3362,6 +3440,120 @@ mod tests {
         index.apply_batch_with_shards(&mut g, &BatchUpdate::new(), 1);
         assert!(index.memory_bytes() <= small_bytes + added);
         assert_eq!(index.aux_snapshot(), large.aux_snapshot());
+    }
+
+    /// `a` accepts `l0`, `b` accepts `l1`, `c` accepts `uid ≥ uid_floor`:
+    /// `c` overlaps both others, so a node's candidacy is one of up to five
+    /// classes ({a}, {b}, {c}, {a, c}, {b, c}).
+    fn overlapping_pattern(uid_floor: i64) -> Pattern {
+        let mut p = Pattern::new();
+        let a = p.add_labeled_node("l0");
+        let b = p.add_labeled_node("l1");
+        let c = p.add_node(Predicate::any().and("uid", CompareOp::Ge, uid_floor));
+        p.add_normal_edge(a, b);
+        p.add_normal_edge(b, a);
+        p.add_normal_edge(a, c);
+        p.add_normal_edge(c, b);
+        p
+    }
+
+    /// `memory_bytes()` as the module docs itemise it: 16 bytes per slot,
+    /// 4 per counter, the rank bitvector, the class table, the
+    /// per-pattern-node arrays and the index's own candidate lists.
+    fn itemised_bytes(index: &SimulationIndex) -> usize {
+        let layout = &index.layout;
+        let bitvector = layout.words.len() * size_of::<u64>() + layout.ranks.len() * 4;
+        let per_pattern_node = index.np * 4 * size_of::<u64>()
+            + index.cand_lists.capacity() * size_of::<Arc<Vec<NodeId>>>();
+        let lists: usize =
+            index.cand_lists.iter().map(|list| list.capacity() * size_of::<NodeId>()).sum();
+        // `rows` holds one more offset than there are slots.
+        16 * layout.len
+            + 4
+            + 4 * index.cnt.len()
+            + bitvector
+            + layout.class_table_bytes()
+            + per_pattern_node
+            + lists
+    }
+
+    #[test]
+    fn memory_is_sixteen_bytes_per_slot_plus_counters_and_class_table() {
+        let graph = synthetic_graph(&SyntheticConfig::new(2000, 8000, 8, 0x16));
+        let p = overlapping_pattern(1000);
+        let index = SimulationIndex::build_with_shards(&p, &graph, 1);
+        let layout = &index.layout;
+        assert_eq!(layout.classes.len(), 5, "{{a}}, {{b}}, {{c}}, {{a, c}}, {{b, c}}");
+        assert!(layout.len > 1000, "half the nodes are candidates of c");
+        for (s, v) in layout.nodes().enumerate() {
+            let class = layout.classes[layout.class[s] as usize];
+            assert_eq!(layout.class_of[&class.cand], layout.class[s]);
+            assert_eq!(class.need, row_mask(&index.child_mask, class.cand));
+            let attrs = graph.attrs(NodeId::from_index(v));
+            let cand = p.nodes().filter(|&u| p.predicate(u).satisfied_by(attrs));
+            assert_eq!(class.cand, cand.fold(0, |m, u| m | 1 << u.index()), "class of n{v}");
+        }
+        // A build is exactly sized: no slack anywhere.
+        assert_eq!(index.memory_bytes(), itemised_bytes(&index));
+        assert!(layout.class_table_bytes() < 1024, "a handful of classes");
+
+        // Growth by non-candidates keeps the slots and classes and costs at
+        // most one byte per added node, the slack of the bitvector's growth
+        // included (as in `memory_grows_with_candidates_not_with_nodes`).
+        let mut grown = graph.clone();
+        let added = 3 * graph.node_count();
+        for _ in 0..added {
+            grown.add_node(Attributes::labeled("unused").with("uid", -1i64));
+        }
+        let mut index = SimulationIndex::build_with_shards(&p, &graph, 1);
+        index.apply_batch_with_shards(&mut grown, &BatchUpdate::new(), 1);
+        assert!(index.memory_bytes() <= itemised_bytes(&index) + added);
+        assert_eq!(
+            itemised_bytes(&index),
+            itemised_bytes(&SimulationIndex::build_with_shards(&p, &grown, 1))
+        );
+    }
+
+    #[test]
+    fn nodes_added_after_build_can_open_new_classes() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // No build-time node has `uid ≥ n`, so `c` has no candidate yet and
+        // only {a} and {b} exist; the added nodes open {c}, {a, c} and
+        // {b, c}, and their edges land in the same batch.
+        let graph = synthetic_graph(&SyntheticConfig::new(1500, 6000, 4, 0x17));
+        let n = graph.node_count();
+        let p = overlapping_pattern(n as i64);
+        let mut grown = graph.clone();
+        let mut rng = StdRng::seed_from_u64(0x18);
+        let mut batch = BatchUpdate::new();
+        for i in 0..60 {
+            let v = grown
+                .add_node(Attributes::labeled(format!("l{}", i % 3)).with("uid", (n + i) as i64));
+            for _ in 0..3 {
+                batch.insert(v, NodeId(rng.gen_range(0..n as u32)));
+                batch.insert(NodeId(rng.gen_range(0..n as u32)), v);
+            }
+        }
+        for (a, b) in graph.edges().take(200) {
+            batch.delete(a, b);
+        }
+        let mut final_graph = grown.clone();
+        batch.apply(&mut final_graph);
+        let reference = SimulationIndex::build_with_shards(&p, &final_graph, 1);
+        for shards in [1, 4, 8] {
+            let mut g = grown.clone();
+            let mut index = SimulationIndex::build_with_shards(&p, &graph, shards);
+            assert_eq!(index.layout.classes.len(), 2, "shards {shards}: only {{a}} and {{b}}");
+            index.apply_batch_with_shards(&mut g, &batch, shards);
+            assert_eq!(g, final_graph);
+            assert_eq!(index.layout.classes.len(), 5, "shards {shards}: three new classes");
+            assert_eq!(index.aux_snapshot(), reference.aux_snapshot(), "shards {shards}");
+            let fresh = SimulationIndex::build_with_shards(&p, &g, shards);
+            assert_eq!(fresh.aux_snapshot(), reference.aux_snapshot(), "shards {shards}");
+            assert_eq!(index.matches(), reference.matches(), "shards {shards}");
+            assert_consistent(&index, &p, &g, &format!("shards {shards}"));
+        }
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! `u32`: distances stay exact while the sums fit, which holds for
 //! `|V| < 2³¹`. Lanes past the last landmark hold [`UNREACHABLE`]. The
 //! index takes `8 · |V| · 64 · ⌈|lm| / 64⌉` bytes of distances
-//! ([`LandmarkIndex::memory_bytes`]).
+//! ([`LandmarkIndex::memory_bytes`]) when built, and at most about an eighth
+//! more while nodes are added ([`LandmarkIndex::ensure_node_capacity`]).
 //!
 //! Each block is built by one forward and one backward bit-parallel BFS that
 //! carries the block's 64 sources as one `u64` per node. The incremental
@@ -39,6 +40,10 @@ pub const UNREACHABLE: u32 = u32::MAX;
 /// Landmarks per block: one bit per landmark in the `u64` source masks of
 /// [`multi_source_bfs`].
 const LANES: usize = u64::BITS as usize;
+
+/// The fewest nodes a block grows by when [`LandmarkIndex::ensure_node_capacity`]
+/// reallocates it.
+const MIN_GROWTH_NODES: usize = 64;
 
 /// How the initial landmark set is chosen.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -317,28 +322,46 @@ impl LandmarkIndex {
     /// vertex cover stays a cover when isolated nodes are added). The
     /// incremental maintenance procedures call this before touching any
     /// entry, so indices never go out of bounds after node churn.
+    ///
+    /// A block that runs out of room is reallocated to exactly
+    /// `max(node_count, n + max(⌈n / 8⌉, 64))` nodes, `n` the nodes it had
+    /// room for: one added node costs at most an eighth more memory (or 64
+    /// nodes' worth on a small graph), not the doubling of `Vec`'s own
+    /// growth, and a run of single-node additions still copies each block
+    /// only once per ⌈n / 8⌉ of them.
     pub fn ensure_node_capacity(&mut self, node_count: usize) {
         if node_count <= self.node_count {
             return;
         }
         for block in self.from_blocks.iter_mut().chain(self.to_blocks.iter_mut()) {
-            block.resize(node_count * LANES, UNREACHABLE);
+            let len = node_count * LANES;
+            if len > block.capacity() {
+                let room = block.capacity() / LANES;
+                let target = node_count.max(room + room.div_ceil(8).max(MIN_GROWTH_NODES));
+                block.reserve_exact(target * LANES - block.len());
+            }
+            block.resize(len, UNREACHABLE);
         }
         self.node_count = node_count;
     }
 
-    /// The distance vector `distvf(v)`: distances from `v` to each landmark.
+    /// The distance vector `distvf(v)`: distances from `v` to each landmark;
+    /// all [`UNREACHABLE`] for a node outside the index.
     pub fn distvf(&self, v: NodeId) -> Vec<u32> {
         self.vector(&self.to_blocks, v)
     }
 
-    /// The distance vector `distvt(v)`: distances from each landmark to `v`.
+    /// The distance vector `distvt(v)`: distances from each landmark to `v`;
+    /// all [`UNREACHABLE`] for a node outside the index.
     pub fn distvt(&self, v: NodeId) -> Vec<u32> {
         self.vector(&self.from_blocks, v)
     }
 
     /// Node `v`'s entries of `blocks`, one per landmark.
     fn vector(&self, blocks: &[Vec<u32>], v: NodeId) -> Vec<u32> {
+        if v.index() >= self.node_count {
+            return vec![UNREACHABLE; self.len()];
+        }
         blocks.iter().flat_map(|block| node_lanes(block, v)).copied().take(self.len()).collect()
     }
 
@@ -357,8 +380,12 @@ impl LandmarkIndex {
     /// over `v`'s 64 `distvf` entries and `v'`'s 64 `distvt` entries per
     /// block. Sums are taken in `u32`, saturating at [`UNREACHABLE`]; a
     /// finite distance is below `|V|`, so the result is exact while
-    /// `|V| < 2³¹`.
+    /// `|V| < 2³¹`. A node outside the index reaches nothing and is reached
+    /// by nothing: `None`.
     pub fn query(&self, from: NodeId, to: NodeId) -> Option<u32> {
+        if from.index() >= self.node_count || to.index() >= self.node_count {
+            return None;
+        }
         if from == to {
             return Some(0);
         }
@@ -372,10 +399,10 @@ impl LandmarkIndex {
     }
 
     /// Approximate heap footprint in bytes (used by Fig. 20(b)): the blocks,
-    /// slack lanes of the last one included —
-    /// `8 · |V| · 64 · ⌈|lm| / 64⌉` — plus the landmark vector and the
-    /// landmark → position map (counted by capacity, one control byte per
-    /// bucket).
+    /// slack lanes of the last one and room for added nodes included —
+    /// `8 · |V| · 64 · ⌈|lm| / 64⌉` when built — plus the landmark vector
+    /// and the landmark → position map (counted by capacity, one control
+    /// byte per bucket).
     pub fn memory_bytes(&self) -> usize {
         use std::mem::size_of;
         let blocks: usize = self
@@ -602,6 +629,66 @@ mod tests {
         assert!(index.is_empty());
         assert!(index.push_landmark(&g, NodeId(1)));
         assert_eq!(index.query(NodeId(0), NodeId(2)), Some(2));
+    }
+
+    /// A graph of `bounded_stream`'s size: 1.7k nodes, 10k edges.
+    fn stream_sized_graph() -> DataGraph {
+        random_graph(1_700, 10_000, 0x5d)
+    }
+
+    #[test]
+    fn ids_outside_the_index_are_unreachable() {
+        let g = stream_sized_graph();
+        let index = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
+        let inside = NodeId(1);
+        let n = g.node_count() as u32;
+        for outside in [NodeId(n), NodeId(5000), NodeId(u32::MAX)] {
+            assert_eq!(index.query(outside, inside), None, "query({outside}, {inside})");
+            assert_eq!(index.query(inside, outside), None, "query({inside}, {outside})");
+            assert_eq!(index.query(outside, outside), None, "query({outside}, {outside})");
+            assert_eq!(index.distance(outside, inside), None, "distance({outside}, {inside})");
+            assert_eq!(index.distance(inside, outside), None, "distance({inside}, {outside})");
+            assert_eq!(index.distvf(outside), vec![UNREACHABLE; index.len()], "distvf");
+            assert_eq!(index.distvt(outside), vec![UNREACHABLE; index.len()], "distvt");
+        }
+        assert_eq!(index.query(inside, inside), Some(0));
+        assert_eq!(index.distvf(inside).len(), index.len());
+
+        // A node the graph gained after the build is outside the index until
+        // it is grown, and isolated afterwards.
+        let mut grown = g.clone();
+        let late = grown.add_node(Attributes::labeled("late"));
+        let mut index = index;
+        assert_eq!(index.query(late, inside), None);
+        index.ensure_node_capacity(grown.node_count());
+        assert_eq!(index.query(late, inside), None);
+        assert_eq!(index.query(late, late), Some(0));
+        assert_eq!(index.distvt(late), vec![UNREACHABLE; index.len()]);
+    }
+
+    #[test]
+    fn one_added_node_grows_the_blocks_by_an_eighth() {
+        let mut g = stream_sized_graph();
+        let n = g.node_count();
+        let mut index = LandmarkIndex::build(&g, LandmarkSelection::VertexCover);
+        let blocks = 2 * index.len().div_ceil(LANES);
+        let block_bytes = |nodes: usize| blocks * nodes * LANES * std::mem::size_of::<u32>();
+        let built = index.memory_bytes();
+        let other = built - block_bytes(n);
+        assert!(other < built / 100, "a built index is its blocks, exactly sized");
+
+        g.add_node(Attributes::labeled("late"));
+        index.ensure_node_capacity(g.node_count());
+        let grown = index.memory_bytes();
+        assert_eq!(grown, block_bytes(n + n.div_ceil(8)) + other, "room for ⌈n/8⌉ more nodes");
+        assert!((grown - built) as f64 <= built as f64 * 0.126, "{built} → {grown} bytes");
+
+        // The next ⌈n/8⌉ − 1 nodes fit without a reallocation.
+        for _ in 1..n.div_ceil(8) {
+            g.add_node(Attributes::labeled("late"));
+            index.ensure_node_capacity(g.node_count());
+        }
+        assert_eq!(index.memory_bytes(), grown);
     }
 
     #[test]

@@ -636,6 +636,36 @@ mod tests {
     }
 
     #[test]
+    fn a_thousand_added_nodes_stay_near_exact_size_and_exact() {
+        // Each round adds one node and joins it to the graph with an edge
+        // each way, so the new node's vectors are not all unreachable.
+        let mut graph = random_graph(200, 800, 0x1000);
+        let mut index = LandmarkIndex::build(&graph, LandmarkSelection::VertexCover);
+        let mut rng = StdRng::seed_from_u64(0x1001);
+        for i in 0..1_000 {
+            let v = graph.add_node(Attributes::labeled(format!("late{i}")));
+            let n = graph.node_count() as u32 - 1;
+            let a = NodeId(rng.gen_range(0..n));
+            let b = NodeId(rng.gen_range(0..n));
+            ins_lm(&mut index, &mut graph, a, v);
+            ins_lm(&mut index, &mut graph, v, b);
+        }
+        let rebuilt =
+            LandmarkIndex::build(&graph, LandmarkSelection::Explicit(index.landmarks().to_vec()));
+        let (kept, exact) = (index.memory_bytes(), rebuilt.memory_bytes());
+        assert!(kept as f64 <= exact as f64 * 1.25, "{kept} bytes against {exact} rebuilt");
+        for v in graph.nodes() {
+            assert_eq!(index.distvf(v), rebuilt.distvf(v), "distvf({v})");
+            assert_eq!(index.distvt(v), rebuilt.distvt(v), "distvt({v})");
+        }
+        for _ in 0..20_000 {
+            let a = NodeId(rng.gen_range(0..graph.node_count() as u32));
+            let b = NodeId(rng.gen_range(0..graph.node_count() as u32));
+            assert_eq!(index.query(a, b), rebuilt.query(a, b), "query({a}, {b})");
+        }
+    }
+
+    #[test]
     fn incremental_is_equivalent_to_rebuild_distance_wise() {
         // The same final graph must yield the same distances whether the index
         // was maintained incrementally or rebuilt (BatchLM).

@@ -31,6 +31,9 @@
 //! The failpoint registry is process-global, so the failpoint-driven tests
 //! serialise on one mutex and run with a muted panic hook while armed.
 
+mod common;
+
+use common::{serial, with_armed};
 use igpm::core::IncrementalEngine;
 use igpm::graph::fail;
 use igpm::graph::wal::FsyncPolicy;
@@ -39,30 +42,8 @@ use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
-
-/// Serialises every test of this suite: the failpoint registry is
-/// process-global, so a test that only runs engines would otherwise race
-/// with a test that has a site armed.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` with `site` armed and the default panic hook muted.
-fn with_armed<T>(site: &str, f: impl FnOnce() -> T) -> T {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = {
-        let _armed = fail::arm_scoped(site);
-        f()
-    };
-    std::panic::set_hook(hook);
-    result
-}
 
 /// A fresh scratch directory for one durable index, removed on drop.
 struct Scratch(PathBuf);

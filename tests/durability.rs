@@ -27,6 +27,9 @@
 //! everything serialises on one mutex and armed sections run with a muted
 //! panic hook.
 
+mod common;
+
+use common::{serial, with_armed};
 use igpm::core::{
     configured_shards, AffStats, BoundedIndex, BsimAuxSnapshot, DurableError, DurableIndex,
     DurableMatchService, DurableOptions, IncrementalEngine, SimAuxSnapshot, SimulationIndex,
@@ -37,7 +40,6 @@ use igpm::graph::{ApplyError, BatchUpdate, DataGraph, EdgeBound, NodeId, Pattern
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 
@@ -50,27 +52,6 @@ const DURABILITY_SITES: [&str; 6] = [
     fail::CKPT_RENAME,
     fail::WAL_PRUNE,
 ];
-
-/// Serialises every test of this suite: the failpoint registry is
-/// process-global, so a test that only runs engines would otherwise race
-/// with a test that has a site armed.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Runs `f` with `site` armed and the default panic hook muted.
-fn with_armed<T>(site: &str, f: impl FnOnce() -> T) -> T {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = {
-        let _armed = fail::arm_scoped(site);
-        f()
-    };
-    std::panic::set_hook(hook);
-    result
-}
 
 /// A fresh scratch directory for one durable index; removed by `Scratch`'s
 /// drop so failures don't leak state between test processes.

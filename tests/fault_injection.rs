@@ -29,30 +29,14 @@
 //! mutex and the injected panics are silenced with a no-op panic hook while
 //! a site is armed.
 
+mod common;
+
+use common::{serial, with_armed};
 use igpm::core::{BoundedIndex, SimulationIndex};
 use igpm::graph::fail;
 use igpm::graph::{ApplyError, BatchUpdate, DataGraph, NodeId, Pattern};
-use std::sync::{Mutex, PoisonError};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
-
-/// Serialises the armed sections: the registry is process-global, and an
-/// armed site would detonate inside any concurrently running test.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-/// Runs `f` with `site` armed and the default panic hook silenced (the
-/// injected panics would otherwise spray backtraces over the test output).
-/// The hook swap is safe under `SERIAL`.
-fn with_armed<T>(site: &str, f: impl FnOnce() -> T) -> T {
-    let hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let result = {
-        let _armed = fail::arm_scoped(site);
-        f()
-    };
-    std::panic::set_hook(hook);
-    result
-}
 
 /// Two directed rings with labels alternating `l0`/`l1`, ring A complete and
 /// ring B missing one edge. Under a cyclic 2-node pattern every ring-A node
@@ -296,7 +280,7 @@ fn check_site<E: Engine>(pattern: &Pattern, world: &World, site: &str, shards: u
 
 #[test]
 fn every_sim_site_rolls_back_or_poisons_and_recovers() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = serial();
     let world = two_ring_world(8);
     let pattern = cycle_pattern();
     for shards in SHARD_COUNTS {
@@ -308,7 +292,7 @@ fn every_sim_site_rolls_back_or_poisons_and_recovers() {
 
 #[test]
 fn every_bsim_site_rolls_back_or_poisons_and_recovers() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = serial();
     let world = two_ring_world(8);
     let pattern = bounded_cycle_pattern();
     for shards in SHARD_COUNTS {
@@ -323,7 +307,7 @@ fn sim_stage_reports_classify_rollback_vs_poison() {
     // The containment's poison decision is part of the public contract:
     // pre-mutation and mutation-only stages leave the index usable, anything
     // that may have touched auxiliary state poisons. Pin it per site.
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = serial();
     let world = two_ring_world(8);
     let pattern = cycle_pattern();
     let expect_poison = |site: &str| {
@@ -383,7 +367,7 @@ fn threaded_mutation_fanout_crash_is_rolled_back() {
     // pre-batch. The rollback must repair that deliberately inconsistent
     // cross-side state.
     use igpm::graph::shard::PARALLEL_WORK_THRESHOLD;
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = serial();
 
     let ring_len = 3 * PARALLEL_WORK_THRESHOLD / 2; // even, > threshold nodes
     let world = two_ring_world(ring_len);
@@ -431,7 +415,7 @@ fn threaded_mutation_fanout_crash_is_rolled_back() {
 
 #[test]
 fn unknown_failpoint_names_are_rejected() {
-    let _serial = SERIAL.lock().unwrap_or_else(PoisonError::into_inner);
+    let _serial = serial();
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     let result = std::panic::catch_unwind(|| fail::arm("sim.no-such-stage"));

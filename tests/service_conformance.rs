@@ -24,6 +24,9 @@
 //! The failpoint registry is process-global, so the poison tests serialise
 //! on one mutex and run with a muted panic hook (like `fault_injection.rs`).
 
+mod common;
+
+use common::serial;
 use igpm::core::{
     match_simulation, ApplyError, BoundedIndex, DurableMatchService, DurableOptions, MatchService,
     PatternId, ServiceDeltaEvent, ServiceError, SimulationIndex,
@@ -37,16 +40,6 @@ use igpm::prelude::{
 };
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// Serialises every test of this suite: the failpoint registry is
-/// process-global, so a test that only runs engines would otherwise race
-/// with a test that has a site armed.
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Runs `f` with the default panic hook silenced (injected panics would
 /// otherwise spray backtraces over the test output). Safe under `SERIAL`.
