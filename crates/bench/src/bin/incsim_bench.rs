@@ -54,6 +54,13 @@
 //! parallelism land in the artifact — wall-clock scaling is only meaningful
 //! where the host actually has cores to scale onto.
 //!
+//! The `unit_vs_batch_of_one` section prices a batch of one against the
+//! dedicated unit path on both unit streams: the median ns per update of
+//! `insert_edge`/`delete_edge`, of `apply_batch_with_shards(.., 1)` on a
+//! one-update batch, and their ratio, timed in the same interleaved,
+//! min-of-3 chunks as the unit sections. Both end states are asserted equal
+//! to `match_simulation` before any number is written. Ungated.
+//!
 //! The cold-start **build** follows the same policy: the `build` section
 //! times `SimulationIndex::build` on the headline workload pinned to one
 //! shard (the trajectory-comparable number), and `build_scaling` sweeps the
@@ -613,6 +620,115 @@ fn unit_json(c: &UnitComparison) -> JsonValue {
         ("counter_total_delta_m", JsonValue::Int(c.counter_aff.delta_m() as i64)),
         ("legacy_total_delta_m", JsonValue::Int(c.legacy_aff.delta_m() as i64)),
         ("counter_updates", JsonValue::Int(c.counter_aff.counter_updates as i64)),
+    ])
+}
+
+/// The unit path against a batch of one on one stream: median ns per update
+/// of each, and their ratio.
+struct UnitVsBatchOfOne {
+    unit_ns: u128,
+    batch_of_one_ns: u128,
+    ratio: f64,
+}
+
+/// Times `insert_edge`/`delete_edge` against `apply_batch_with_shards(.., 1)`
+/// on a one-update batch, over the same unit stream from the same base
+/// state. The two paths run the stream in lockstep chunks of [`CHUNK`]
+/// same-kind updates, alternating which goes first, and the whole walk is
+/// repeated from fresh state keeping each chunk's minimum — the timing of
+/// [`compare_unit_stream`]. The one-update batches are built before the
+/// timer starts. Both end states are asserted equal to `match_simulation`
+/// before any number is returned.
+fn unit_vs_batch_of_one(
+    name: &str,
+    graph: &DataGraph,
+    pattern: &Pattern,
+    stream: &[Update],
+) -> UnitVsBatchOfOne {
+    const REPS: usize = 3;
+    let batches: Vec<BatchUpdate> =
+        stream.iter().map(|&update| BatchUpdate::from_updates(vec![update])).collect();
+    let mut chunk_unit: Vec<u128> = Vec::new();
+    let mut chunk_batch: Vec<u128> = Vec::new();
+    let mut chunk_len: Vec<usize> = Vec::new();
+    for rep in 0..REPS {
+        let mut unit_index = SimulationIndex::build_with_shards(pattern, graph, 1);
+        let mut unit_graph = graph.clone();
+        let mut batch_index = SimulationIndex::build_with_shards(pattern, graph, 1);
+        let mut batch_graph = graph.clone();
+        let (mut chunk_no, mut i) = (0usize, 0usize);
+        while i < stream.len() {
+            let is_delete = stream[i].is_delete();
+            let mut end = i;
+            while end < stream.len()
+                && stream[end].is_delete() == is_delete
+                && ((end - i) as u128) < CHUNK
+            {
+                end += 1;
+            }
+            let len = end - i;
+            let mut time_unit = || {
+                let start = Instant::now();
+                for update in &stream[i..end] {
+                    let (a, b) = update.endpoints();
+                    if update.is_insert() {
+                        unit_index.insert_edge(&mut unit_graph, a, b);
+                    } else {
+                        unit_index.delete_edge(&mut unit_graph, a, b);
+                    }
+                }
+                start.elapsed().as_nanos() / len as u128
+            };
+            let mut time_batch_of_one = || {
+                let start = Instant::now();
+                for batch in &batches[i..end] {
+                    batch_index.apply_batch_with_shards(&mut batch_graph, batch, 1);
+                }
+                start.elapsed().as_nanos() / len as u128
+            };
+            let (unit, batch) = if (chunk_no + rep).is_multiple_of(2) {
+                let unit = time_unit();
+                (unit, time_batch_of_one())
+            } else {
+                let batch = time_batch_of_one();
+                (time_unit(), batch)
+            };
+            if rep == 0 {
+                chunk_unit.push(unit);
+                chunk_batch.push(batch);
+                chunk_len.push(len);
+            } else {
+                chunk_unit[chunk_no] = chunk_unit[chunk_no].min(unit);
+                chunk_batch[chunk_no] = chunk_batch[chunk_no].min(batch);
+            }
+            chunk_no += 1;
+            i = end;
+        }
+        assert_eq!(unit_graph, batch_graph, "{name}: the two paths saw different graphs");
+        let expected = match_simulation(pattern, &unit_graph);
+        assert_eq!(unit_index.matches(), expected, "{name}: unit path diverged");
+        assert_eq!(batch_index.matches(), expected, "{name}: batch-of-one path diverged");
+    }
+    // Per-chunk minima expanded to per-update samples.
+    let per_update = |chunks: &[u128]| -> Vec<u128> {
+        chunks.iter().zip(&chunk_len).flat_map(|(&ns, &len)| std::iter::repeat_n(ns, len)).collect()
+    };
+    let unit_ns = median_ns(per_update(&chunk_unit));
+    let batch_of_one_ns = median_ns(per_update(&chunk_batch));
+    let ratio = batch_of_one_ns as f64 / unit_ns.max(1) as f64;
+    println!(
+        "unit vs batch of one ({name}): {} updates — unit {unit_ns} ns, batch of one \
+         {batch_of_one_ns} ns ({ratio:.2}x)",
+        stream.len()
+    );
+    UnitVsBatchOfOne { unit_ns, batch_of_one_ns, ratio }
+}
+
+fn unit_vs_batch_json(c: &UnitVsBatchOfOne) -> JsonValue {
+    obj(vec![
+        ("unit_median_ns", JsonValue::Int(c.unit_ns as i64)),
+        ("batch_of_one_median_ns", JsonValue::Int(c.batch_of_one_ns as i64)),
+        ("batch_of_one_over_unit", JsonValue::Float(c.ratio)),
     ])
 }
 
@@ -1549,6 +1665,8 @@ fn main() {
     let mixed = mixed_stream(&graph, config.unit_updates, config.seed + 17);
     let maintenance_cmp = compare_unit_stream("maintenance", &graph, &pattern, &maintenance);
     let mixed_cmp = compare_unit_stream("mixed", &graph, &pattern, &mixed);
+    let maintenance_vs_batch = unit_vs_batch_of_one("maintenance", &graph, &pattern, &maintenance);
+    let mixed_vs_batch = unit_vs_batch_of_one("mixed", &graph, &pattern, &mixed);
 
     // --- Batch application ------------------------------------------------
     let batch: BatchUpdate =
@@ -1725,6 +1843,13 @@ fn main() {
         ),
         ("unit_update", unit_json(&maintenance_cmp)),
         ("unit_update_mixed", unit_json(&mixed_cmp)),
+        (
+            "unit_vs_batch_of_one",
+            obj(vec![
+                ("unit_update", unit_vs_batch_json(&maintenance_vs_batch)),
+                ("unit_update_mixed", unit_vs_batch_json(&mixed_vs_batch)),
+            ]),
+        ),
         (
             "batch",
             obj(vec![

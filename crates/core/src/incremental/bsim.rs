@@ -62,7 +62,7 @@ use igpm_graph::shard::{
     configured_shards, ShardPlan, PARALLEL_EVAL_THRESHOLD, PARALLEL_WORK_THRESHOLD,
 };
 use igpm_graph::traversal::{nodes_within, BallScratch, Direction};
-use igpm_graph::update::{validate_batch, StagePanic};
+use igpm_graph::update::{reduce_batch_sharded, validate_batch, StagePanic};
 use igpm_graph::{
     ApplyError, BatchUpdate, DataGraph, MatchDelta, MatchRelation, NodeId, Pattern, PatternEdge,
     PatternNodeId, ResultGraph, StronglyConnectedComponents, Update,
@@ -224,8 +224,11 @@ impl BoundedIndex {
         );
         // Sharded label-index pass + predicate scans (per node-range slice,
         // merged in node order) — identical lists for every shard count.
-        let cand_lists =
-            candidates_with_shards(pattern, graph, shards).into_iter().map(Arc::new).collect();
+        // Collected at exact capacity: an in-place `collect` would keep the
+        // source's allocation, three 8-byte `Arc`s per 24-byte list.
+        let lists = candidates_with_shards(pattern, graph, shards);
+        let mut cand_lists = Vec::with_capacity(lists.len());
+        cand_lists.extend(lists.into_iter().map(Arc::new));
         Self::build_with_landmarks_from_candidates(pattern, graph, landmarks, cand_lists)
     }
 
@@ -625,11 +628,21 @@ impl BoundedIndex {
         Ok(LenientApply { stats: outcome.stats, delta: outcome.delta, rejected: rejections })
     }
 
-    /// Runs the batch pipeline under `catch_unwind` and converts an unwind
-    /// into rollback-or-poison (see [`BoundedIndex::contain_batch_panic`]).
-    /// The scoped worker threads of the sharded stages funnel their panics
-    /// through their join handles, so one containment point covers the
-    /// sequential and the fanned-out engines alike.
+    /// The one batch pipeline of a standalone index: the
+    /// [`MatchService`](crate::service::MatchService) pipeline on the
+    /// index's own state, its own [`LandmarkIndex`] as the shared structure
+    /// — the net-effect reduction ([`reduce_batch_sharded`]) and `IncLM`
+    /// ([`IncrementalEngine::shared_mutate`], which mutates the graph one
+    /// update at a time, interleaved with the distance maintenance), then
+    /// the per-pattern [`BoundedIndex::apply_shared_stages`] — so a
+    /// standalone batch and a service batch have the same outcome by
+    /// construction.
+    ///
+    /// An unwind becomes rollback-or-poison
+    /// ([`BoundedIndex::contain_panic`]); `effective` is recorded before
+    /// `IncLM` begins, and the scoped worker threads of the sharded stages
+    /// funnel their panics through their join handles into the same
+    /// containment.
     fn apply_batch_contained(
         &mut self,
         graph: &mut DataGraph,
@@ -637,113 +650,26 @@ impl BoundedIndex {
         shards: usize,
     ) -> Result<ApplyOutcome, ApplyError> {
         let mut stage = PipelineStage::Prepare;
-        let mut applied: Vec<Update> = Vec::new();
+        let mut effective: Vec<Update> = Vec::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.apply_batch_stages(graph, batch, shards, &mut stage, &mut applied)
+            let plan = ShardPlan::new(graph.node_count(), shards);
+            stage = PipelineStage::Reduce;
+            fail::fire(fail::BSIM_REDUCE);
+            effective = reduce_batch_sharded(graph, batch, plan).0;
+            let mutation = if effective.is_empty() {
+                SharedMutation::default()
+            } else {
+                stage = PipelineStage::Landmark;
+                Self::shared_mutate(&mut self.landmarks, graph, &effective, shards)
+            };
+            let monotone = batch.iter().all(Update::is_insert);
+            let shared = SharedBatch { batch_len: batch.len(), monotone, effective: &effective };
+            self.apply_shared_stages(graph, &shared, &mutation, shards, &mut stage)
         }));
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(
-                    self.contain_batch_panic(graph, stage, &applied, message),
-                ))
-            }
-        }
-    }
-
-    /// The batch pipeline proper — [`BoundedIndex::apply_batch`]'s
-    /// historical body, annotated with the stage transitions and failpoints
-    /// the containment relies on. Unlike the plain engine, the graph is
-    /// mutated *inside* the `Landmark` stage (`IncLM` applies each effective
-    /// update to the graph as it maintains the distance vectors), so
-    /// `applied` is recorded before that stage begins.
-    fn apply_batch_stages(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-        stage: &mut PipelineStage,
-        applied: &mut Vec<Update>,
-    ) -> ApplyOutcome {
-        let mut stats = AffStats { delta_g: batch.len(), ..AffStats::default() };
-        // Delta tracking starts before any match-bit mutation — including the
-        // childless-pattern matches `ensure_node_capacity` grants brand-new
-        // nodes. Insert-only batches take the monotone fast path: inserted
-        // edges can only shorten distances, so bounds only become *more*
-        // satisfiable and the removal side of the tracker provably stays
-        // empty (CALM).
-        let was_match = self.is_match();
-        self.tracker.arm(batch.iter().all(Update::is_insert));
-        // Nodes added since the last index operation join the candidate
-        // pipeline before anything is classified against the batch.
-        self.ensure_node_capacity(graph);
-
-        // Step 0: net-effect reduction on the same shard plan as the plain
-        // engine (`minDelta` step 1, sharded by update source with a
-        // deterministic first-touch merge). `IncLM` would reduce internally
-        // anyway — sequentially; pre-reducing here keeps the effective list
-        // identical (a reduced batch reduces to itself) while running the
-        // reduction on `IGPM_SHARDS` threads for large batches. The distance
-        // maintenance itself stays per-update: distance propagation is
-        // order-dependent, unlike the edge-map mutation.
-        let plan = ShardPlan::new(graph.node_count(), shards);
-        *stage = PipelineStage::Reduce;
-        fail::fire(fail::BSIM_REDUCE);
-        let (effective, _) = igpm_graph::update::reduce_batch_sharded(graph, batch, plan);
-        if effective.is_empty() {
-            return self.finish_apply(stats, was_match);
-        }
-
-        // Step 1: maintain the landmark/distance vectors (IncLM) and collect
-        // the nodes whose distance information changed. The pre-reduced entry
-        // point skips IncLM's internal reduction — the list is already
-        // minimal. The graph mutates here, one update at a time, interleaved
-        // with the distance maintenance.
-        *stage = PipelineStage::Landmark;
-        applied.extend_from_slice(&effective);
-        fail::fire(fail::BSIM_LANDMARK);
-        let mut affected: FastHashSet<NodeId> = FastHashSet::default();
-        let lm_stats =
-            inc_lm_tracked_reduced(&mut self.landmarks, graph, &effective, &mut affected);
-        stats.reduced_delta_g = lm_stats.updates_processed;
-        stats.aux_changes += lm_stats.affected_entries;
-
-        if lm_stats.updates_processed == 0 {
-            return self.finish_apply(stats, was_match);
-        }
-
-        // Step 2: re-evaluate the pairs whose endpoints are affected. The
-        // support counters absorb every pair transition; `1 → 0` transitions
-        // on a matched source seed demotions, `0 → 1` transitions on an
-        // unmatched candidate source seed promotions.
-        *stage = PipelineStage::Refresh;
-        fail::fire(fail::BSIM_REFRESH);
-        let mut demotion_seeds: Vec<(u32, u32)> = Vec::new();
-        let mut promotion_seeds: Vec<(u32, u32)> = Vec::new();
-        self.refresh_pairs(
-            graph,
-            &affected,
-            shards,
-            &mut demotion_seeds,
-            &mut promotion_seeds,
-            &mut stats,
-        );
-
-        // Step 3: repair the match — demotions first, then promotions,
-        // mirroring IncMatch (the SCC-joint pass of the promotion phase runs
-        // sharded on the same plan).
-        if !demotion_seeds.is_empty() {
-            *stage = PipelineStage::Demote;
-            fail::fire(fail::BSIM_DEMOTE);
-            self.process_demotions(&mut demotion_seeds, &mut stats);
-        }
-        if !promotion_seeds.is_empty() || self.has_cycle {
-            *stage = PipelineStage::Promote;
-            fail::fire(fail::BSIM_PROMOTE);
-            self.process_promotions(promotion_seeds, &mut stats, plan);
-        }
-        self.finish_apply(stats, was_match)
+        outcome.map_err(|payload| {
+            let message = panic_message(payload.as_ref());
+            ApplyError::StagePanicked(self.contain_panic(Some((graph, &effective)), stage, message))
+        })
     }
 
     /// Finalises a batch: converts the tracker's raw match-bit flips into the
@@ -776,38 +702,50 @@ impl BoundedIndex {
         ApplyOutcome { stats, delta }
     }
 
-    /// Converts a mid-batch unwind into the transactional contract. The
-    /// graph is *always* rolled back to its pre-batch edge set
+    /// Converts a mid-batch unwind into the transactional contract.
+    /// `owned` is the graph and the effective updates issued to it when the
+    /// caller owns the graph (a standalone batch): the graph is rolled back
     /// ([`DataGraph::rollback_updates`] tolerates the partially-applied
-    /// states an `IncLM` interruption leaves). The index poisons itself
-    /// unless the panic landed in the `Reduce` stage — the only stage that
-    /// provably touches nothing: from `Landmark` onwards the landmark
-    /// vectors mutate interleaved with the graph, so the pre-batch auxiliary
-    /// state cannot be assumed intact.
+    /// states an `IncLM` interruption leaves), and the index stays usable
+    /// iff the panic landed in `Reduce`, the only stage that touches
+    /// nothing — from `Landmark` on the landmark vectors mutate interleaved
+    /// with the graph. Behind a [`MatchService`](crate::service::MatchService)
+    /// (`owned` is `None`) the graph mutation and landmark maintenance are
+    /// committed service-wide: nothing is rolled back, the engine is behind
+    /// the graph whatever stage panicked, so it always poisons and recovery
+    /// rebuilds it from the current graph.
     #[cold]
-    fn contain_batch_panic(
+    fn contain_panic(
         &mut self,
-        graph: &mut DataGraph,
+        owned: Option<(&mut DataGraph, &[Update])>,
         stage: PipelineStage,
-        applied: &[Update],
         message: String,
     ) -> StagePanic {
-        graph.rollback_updates(applied);
         self.invalidate_cache();
         self.tracker.reset();
-        let poisoned = !matches!(stage, PipelineStage::Reduce);
+        let rolled_back = if let Some((graph, applied)) = owned {
+            graph.rollback_updates(applied);
+            true
+        } else {
+            false
+        };
+        let poisoned = !rolled_back || !matches!(stage, PipelineStage::Reduce);
         self.poisoned = poisoned;
-        StagePanic { stage: stage.label(), message, rolled_back: true, poisoned }
+        StagePanic { stage: stage.label(), message, rolled_back, poisoned }
     }
 
-    /// The pattern-dependent pipeline of one service batch (see
-    /// [`IncrementalEngine::try_apply_shared`]). The service has already run
-    /// the net-effect reduction, mutated the graph and maintained the shared
-    /// [`LandmarkIndex`] (`IncLM` runs exactly once per batch no matter how
-    /// many patterns are registered); what remains per pattern is the
-    /// affected-pair refresh and the demotion/promotion drains, fed by the
-    /// affected set the shared maintenance collected. The caller has already
-    /// swapped the shared landmark index into `self.landmarks`.
+    /// The pattern-dependent pipeline of one batch, run after the
+    /// net-effect reduction, the graph mutation and the landmark
+    /// maintenance: by every [`MatchService`] pattern (see
+    /// [`IncrementalEngine::try_apply_shared`]; `IncLM` runs exactly once per
+    /// batch no matter how many patterns are registered, and the caller has
+    /// swapped the shared landmark index into `self.landmarks`) and by a
+    /// standalone index after its own `IncLM`
+    /// ([`BoundedIndex::apply_batch_contained`]). What remains per pattern
+    /// is node growth, the affected-pair refresh and the demotion/promotion
+    /// drains, fed by the affected set `IncLM` collected.
+    ///
+    /// [`MatchService`]: crate::service::MatchService
     fn apply_shared_stages(
         &mut self,
         graph: &DataGraph,
@@ -816,18 +754,26 @@ impl BoundedIndex {
         shards: usize,
         stage: &mut PipelineStage,
     ) -> ApplyOutcome {
+        *stage = PipelineStage::Prepare;
         let mut stats = AffStats { delta_g: batch.batch_len, ..AffStats::default() };
+        // Delta tracking starts before any match-bit mutation — including the
+        // childless-pattern matches `ensure_node_capacity` grants brand-new
+        // nodes. Insert-only batches take the monotone fast path: inserted
+        // edges can only shorten distances, so bounds only become *more*
+        // satisfiable and the removal side of the tracker provably stays
+        // empty (CALM).
         let was_match = self.is_match();
         self.tracker.arm(batch.monotone);
+        // Nodes added since the last index operation join the candidate
+        // pipeline before anything is refreshed against the batch.
         self.ensure_node_capacity(graph);
         let plan = ShardPlan::new(graph.node_count(), shards);
 
         if batch.effective.is_empty() {
             return self.finish_apply(stats, was_match);
         }
-        // Mirror the standalone pipeline's accounting: the landmark
-        // maintenance ran once service-wide, so every pattern reports the
-        // same shared reduction/entry counts it would have measured itself.
+        // The landmark maintenance's accounting: it processed the reduced
+        // updates and changed the reported distance entries.
         stats.reduced_delta_g = mutation.updates_processed;
         stats.aux_changes += mutation.affected_entries;
         if mutation.updates_processed == 0 {
@@ -836,8 +782,12 @@ impl BoundedIndex {
         let affected = mutation
             .affected
             .as_ref()
-            .expect("bounded service batches carry the shared affected set");
+            .expect("bounded batches carry the landmark stage's affected set");
 
+        // Re-evaluate the pairs whose endpoints are affected. The support
+        // counters absorb every pair transition; `1 → 0` transitions on a
+        // matched source seed demotions, `0 → 1` transitions on an unmatched
+        // candidate source seed promotions.
         *stage = PipelineStage::Refresh;
         fail::fire(fail::BSIM_REFRESH);
         let mut demotion_seeds: Vec<(u32, u32)> = Vec::new();
@@ -851,6 +801,9 @@ impl BoundedIndex {
             &mut stats,
         );
 
+        // Repair the match — demotions first, then promotions, mirroring
+        // IncMatch (the SCC-joint pass of the promotion phase runs sharded
+        // on the same plan).
         if !demotion_seeds.is_empty() {
             *stage = PipelineStage::Demote;
             fail::fire(fail::BSIM_DEMOTE);
@@ -862,20 +815,6 @@ impl BoundedIndex {
             self.process_promotions(promotion_seeds, &mut stats, plan);
         }
         self.finish_apply(stats, was_match)
-    }
-
-    /// Converts a contained panic of the service-mode pipeline into the
-    /// always-poison contract of [`IncrementalEngine::try_apply_shared`]: the
-    /// graph mutation and landmark maintenance are already committed
-    /// service-wide, so the engine is behind the graph even when the panic
-    /// interrupted a stage that had not yet touched the pair sets. Recovery
-    /// rebuilds from the current graph.
-    #[cold]
-    fn contain_shared_panic(&mut self, stage: PipelineStage, message: String) -> StagePanic {
-        self.invalidate_cache();
-        self.tracker.reset();
-        self.poisoned = true;
-        StagePanic { stage: stage.label(), message, rolled_back: false, poisoned: true }
     }
 
     // ------------------------------------------------------------------
@@ -1706,6 +1645,9 @@ impl IncrementalEngine for BoundedIndex {
     ) -> SharedMutation {
         let _ = shards;
         fail::fire(fail::BSIM_LANDMARK);
+        // The pre-reduced entry point skips IncLM's own (sequential)
+        // reduction: the list is already minimal. The distance maintenance
+        // stays per-update, since distance propagation is order-dependent.
         let mut affected: FastHashSet<NodeId> = FastHashSet::default();
         let lm_stats = inc_lm_tracked_reduced(shared, graph, effective, &mut affected);
         SharedMutation {
@@ -1763,13 +1705,10 @@ impl IncrementalEngine for BoundedIndex {
             self.apply_shared_stages(graph, batch, mutation, shards, &mut stage)
         }));
         std::mem::swap(&mut self.landmarks, shared);
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(self.contain_shared_panic(stage, message)))
-            }
-        }
+        outcome.map_err(|payload| {
+            let message = panic_message(payload.as_ref());
+            ApplyError::StagePanicked(self.contain_panic(None, stage, message))
+        })
     }
 }
 
@@ -1854,6 +1793,8 @@ mod tests {
         // pattern node Bio.
         assert_eq!(index.matches().matches(PatternNodeId(2)), &[f.bill, f.mat, f.tom]);
         assert_consistent(&index, &f.pattern, &f.graph, "initial build");
+        // A build is exactly sized: one `Arc` per pattern node, no slack.
+        assert_eq!(index.cand_lists.capacity(), f.pattern.node_count());
     }
 
     #[test]

@@ -31,18 +31,28 @@
 //!   lenient path: identical behaviour for well-formed input, a clean panic
 //!   (with state contained as below) instead of silent corruption otherwise.
 //!
+//! Every batch entry point of a standalone index runs one pipeline: the
+//! [`MatchService`](crate::service::MatchService) pipeline on the index's
+//! own state — the net-effect reduction, the graph mutation
+//! ([`IncrementalEngine::shared_mutate`] on the index's own
+//! [`Shared`](IncrementalEngine::Shared) state), then the per-pattern stages
+//! that [`IncrementalEngine::try_apply_shared`] runs behind a service.
+//!
 //! A panic *mid-batch* — an armed [`igpm_graph::fail`] failpoint or a real
 //! bug — is caught at the batch boundary (`catch_unwind`; the scoped worker
 //! threads of every sharded stage funnel their panics through their join
-//! handles into the same containment). The containment consults how far the
-//! pipeline got: panics before any mutation leave everything untouched;
-//! panics during graph mutation roll the graph back
-//! ([`igpm_graph::DataGraph::rollback_updates`]) with the auxiliary state
-//! untouched (the index stays usable); panics after auxiliary mutation began
-//! roll the graph back and **poison** the index — reads error with
-//! [`ApplyError::Poisoned`] until `recover()` rebuilds from the graph via
-//! the ordinary sharded build, which is bit-identical to a fresh build by
-//! the build-equivalence invariant.
+//! handles into the same containment). Each engine has one containment,
+//! which consults how far the pipeline got and whether the caller owns the
+//! graph. A standalone index owns it: the graph is rolled back
+//! ([`igpm_graph::DataGraph::rollback_updates`]), and the index stays
+//! usable if the panic landed in a stage that touches no auxiliary state —
+//! the reduction stages, and plain simulation's graph mutation — or is
+//! **poisoned** otherwise: reads error with [`ApplyError::Poisoned`] until
+//! `recover()` rebuilds from the graph via the ordinary sharded build, which
+//! is bit-identical to a fresh build by the build-equivalence invariant.
+//! Behind a service the graph mutation is already committed service-wide,
+//! so nothing is rolled back and the pattern's engine always poisons. The
+//! stage-by-stage table is in `RECOVERY.md`.
 //!
 //! The `unwrap`/`expect`/`assert!` occurrences that remain in these engines
 //! fall into two audited classes:
@@ -155,7 +165,11 @@ pub trait IncrementalEngine: Sized {
     // count, a pattern's `ApplyOutcome` from the service path is
     // bit-identical to the outcome an independent single-pattern index —
     // built over the same graph with the same shared auxiliary state —
-    // produces for the same stream (`tests/service_conformance.rs`).
+    // produces for the same stream. That holds by construction: a
+    // standalone `try_apply_batch_with_shards` runs these very methods on
+    // the index's own state (`shared_mutate` on its own `Shared`, then the
+    // per-pattern stages of `try_apply_shared`); `tests/service_conformance.rs`
+    // keeps checking it.
 
     /// The pattern-independent auxiliary structure the service maintains
     /// *once* for all registered patterns. Plain simulation needs none
@@ -183,9 +197,9 @@ pub trait IncrementalEngine: Sized {
     /// to `graph` and maintains `shared` alongside, returning the
     /// [`SharedMutation`] summary every engine's
     /// [`try_apply_shared`](IncrementalEngine::try_apply_shared) consumes.
-    /// Only called with a non-empty `effective` list (the service
-    /// early-finishes empty reductions exactly like the single-engine
-    /// pipelines). Fires the engine's graph-mutation failpoint
+    /// Only called with a non-empty `effective` list: a service, and a
+    /// standalone index running the same pipeline on its own state, skip it
+    /// for an empty reduction. Fires the engine's graph-mutation failpoint
     /// ([`igpm_graph::fail`]), so fault tests can interrupt the shared stage.
     fn shared_mutate(
         shared: &mut Self::Shared,
@@ -215,11 +229,13 @@ pub trait IncrementalEngine: Sized {
     /// reduction ([`SharedBatch`]) and mutation summary ([`SharedMutation`])
     /// instead of redoing them, and runs only the pattern-dependent pipeline
     /// stages against the **already-mutated** graph. Statistics and deltas
-    /// are bit-identical to what the engine's own
+    /// equal what the engine's own
     /// [`try_apply_batch_with_shards`](IncrementalEngine::try_apply_batch_with_shards)
-    /// would have produced for the original batch.
+    /// produces for the original batch by construction: the standalone path
+    /// runs the same stages after its own reduction and
+    /// [`shared_mutate`](IncrementalEngine::shared_mutate).
     ///
-    /// Unlike the single-engine path there is no rollback arm: the graph
+    /// Unlike the standalone path there is no rollback arm: the graph
     /// mutation is already committed service-wide, so a contained panic
     /// **always poisons** this engine (`rolled_back: false`) and never
     /// touches the graph or the other registered patterns — recovery is
@@ -251,17 +267,15 @@ pub trait IncrementalEngine: Sized {
 #[derive(Debug, Clone, Copy)]
 pub struct SharedBatch<'a> {
     /// Length of the *original* batch (before reduction) — what each
-    /// engine's [`AffStats::delta_g`] must report, exactly as the
-    /// single-engine path does.
+    /// engine's [`AffStats::delta_g`] reports.
     pub batch_len: usize,
     /// True iff every update of the original batch is an insertion — the
-    /// CALM monotone fast-path trigger, sampled on the original batch like
-    /// the single-engine pipelines sample it.
+    /// CALM monotone fast-path trigger, sampled on the original batch.
     pub monotone: bool,
     /// The net-effective updates in first-touch order: the output of the
-    /// shared `minDelta` net-effect reduction
-    /// ([`igpm_graph::reduce_batch_sharded`]), identical to the effective
-    /// list every engine's own reduction stage would produce.
+    /// `minDelta` net-effect reduction
+    /// ([`igpm_graph::reduce_batch_sharded`]), run once per batch by the
+    /// service, or by a standalone index for itself.
     pub effective: &'a [Update],
 }
 

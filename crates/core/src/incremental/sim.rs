@@ -93,11 +93,14 @@
 //! ([`igpm_graph::shard`]). Slots ascend with node ids, so a node range owns
 //! a contiguous slot range and a contiguous run of counter rows:
 //!
-//! * the **`minDelta` reduction** shards by update source (all updates
-//!   touching an edge share its source), nets each shard's edges and
-//!   classifies pattern relevance against the frozen masks, then merges
-//!   deterministically by first-touch batch position — the exact sequential
-//!   output ([`SimulationIndex::apply_batch_with_shards`] docs);
+//! * the **`minDelta` net-effect reduction**
+//!   ([`igpm_graph::reduce_batch_sharded`]) shards by update source (all
+//!   updates touching an edge share its source), nets each shard's edges,
+//!   then merges deterministically by first-touch batch position — the exact
+//!   sequential output. The pattern-relevance classification of the
+//!   survivors reads only the frozen masks, so it runs after the graph
+//!   mutation, where a [`MatchService`](crate::service::MatchService) runs
+//!   it once per pattern;
 //! * the **graph mutation** applies the reduced batch in two passes on the
 //!   same plan — out-adjacency (and its per-node position map) sharded by
 //!   source, in-adjacency by target
@@ -145,7 +148,7 @@ use crate::stats::AffStats;
 use igpm_graph::fail;
 use igpm_graph::hash::FastHashMap;
 use igpm_graph::shard::{configured_shards, ShardPlan, PARALLEL_WORK_THRESHOLD};
-use igpm_graph::update::{net_effective_updates, reduce_batch, validate_batch, StagePanic};
+use igpm_graph::update::{reduce_batch_sharded, validate_batch, StagePanic};
 use igpm_graph::{
     ApplyError, BatchUpdate, DataGraph, MatchDelta, MatchRelation, NodeId, Pattern, PatternNodeId,
     ResultGraph, StronglyConnectedComponents, Update,
@@ -567,8 +570,11 @@ impl SimulationIndex {
         shards: usize,
     ) -> Result<Self, BuildError> {
         check_buildable(pattern)?;
-        let cand_lists =
-            candidates_with_shards(pattern, graph, shards).into_iter().map(Arc::new).collect();
+        // Collected at exact capacity: an in-place `collect` would keep the
+        // source's allocation, three 8-byte `Arc`s per 24-byte list.
+        let lists = candidates_with_shards(pattern, graph, shards);
+        let mut cand_lists = Vec::with_capacity(lists.len());
+        cand_lists.extend(lists.into_iter().map(Arc::new));
         Ok(Self::build_from_candidates(pattern, graph, cand_lists, shards))
     }
 
@@ -1081,12 +1087,21 @@ impl SimulationIndex {
         Ok(LenientApply { stats: outcome.stats, delta: outcome.delta, rejected: rejections })
     }
 
-    /// Runs the batch pipeline under `catch_unwind`, tracking how far it got
-    /// and which graph mutations were issued, and converts an unwind into
-    /// rollback-or-poison (see [`SimulationIndex::contain_batch_panic`]). The
-    /// scoped worker threads of every sharded stage funnel their panics
-    /// through their join handles, so one containment point covers the
-    /// sequential and the fanned-out engines alike.
+    /// The one batch pipeline of a standalone index: the
+    /// [`MatchService`](crate::service::MatchService) pipeline on the
+    /// index's own state — the net-effect half of `minDelta`
+    /// ([`reduce_batch_sharded`]) and the graph mutation
+    /// ([`IncrementalEngine::shared_mutate`]), then the per-pattern
+    /// [`SimulationIndex::apply_shared_stages`] — so a standalone batch and a
+    /// service batch have the same outcome by construction.
+    ///
+    /// An unwind becomes rollback-or-poison
+    /// ([`SimulationIndex::contain_panic`]). `effective` is recorded before
+    /// the mutation starts, since a panic can land anywhere inside the
+    /// sharded mutation ([`DataGraph::rollback_updates`] tolerates
+    /// not-yet-applied suffixes); the scoped worker threads of every sharded
+    /// stage funnel their panics through their join handles into the same
+    /// containment.
     fn apply_batch_contained(
         &mut self,
         graph: &mut DataGraph,
@@ -1094,100 +1109,23 @@ impl SimulationIndex {
         shards: usize,
     ) -> Result<ApplyOutcome, ApplyError> {
         let mut stage = PipelineStage::Prepare;
-        let mut applied: Vec<Update> = Vec::new();
+        let mut effective: Vec<Update> = Vec::new();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            self.apply_batch_stages(graph, batch, shards, &mut stage, &mut applied)
-        }));
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(
-                    self.contain_batch_panic(graph, stage, &applied, message),
-                ))
+            let plan = ShardPlan::new(graph.node_count(), shards);
+            stage = PipelineStage::Reduce;
+            effective = reduce_batch_sharded(graph, batch, plan).0;
+            if !effective.is_empty() {
+                stage = PipelineStage::Mutate;
+                Self::shared_mutate(&mut (), graph, &effective, shards);
             }
-        }
-    }
-
-    /// The batch pipeline proper — [`SimulationIndex::apply_batch`]'s
-    /// historical body, annotated with the stage transitions and failpoints
-    /// the containment relies on. `stage` is advanced *before* each stage's
-    /// work; `applied` records the graph mutations issued so far (the full
-    /// effective list, recorded before the mutation starts, since a panic can
-    /// land anywhere inside the sharded mutation —
-    /// [`DataGraph::rollback_updates`] tolerates not-yet-applied suffixes).
-    fn apply_batch_stages(
-        &mut self,
-        graph: &mut DataGraph,
-        batch: &BatchUpdate,
-        shards: usize,
-        stage: &mut PipelineStage,
-        applied: &mut Vec<Update>,
-    ) -> ApplyOutcome {
-        let mut stats = AffStats { delta_g: batch.len(), ..AffStats::default() };
-        // Delta tracking starts before any match-bit mutation — including the
-        // childless-pattern matches `ensure_node_capacity` grants brand-new
-        // nodes. Insert-only batches take the monotone fast path: simulation
-        // is monotone in the edge set, so insertions can only promote and the
-        // removal side of the tracker provably stays empty (CALM).
-        let was_match = self.is_match();
-        self.tracker.arm(batch.iter().all(Update::is_insert));
-        // Grow the per-node arrays first (batches carry edge updates only, so
-        // any node growth happened before this call): classification below
-        // must see nodes added since the last index operation as candidates.
-        self.ensure_node_capacity(graph);
-
-        // One plan drives every stage of the batch: reduction, graph
-        // mutation, absorption and the drains all partition by the same
-        // contiguous node ranges.
-        let plan = ShardPlan::new(self.nv, shards);
-
-        // minDelta steps 1 + 2, sharded by update source: drop updates whose
-        // net effect on the graph is nil, and count/collect the updates
-        // relevant to the pattern (ss deletions, cs/cc insertions). The
-        // irrelevant survivors are still applied to the graph and absorbed
-        // into the counters below.
-        *stage = PipelineStage::Reduce;
-        fail::fire(fail::SIM_REDUCE);
-        let reduction = self.min_delta_sharded(graph, batch, plan);
-        stats.reduced_delta_g = reduction.relevant;
-        if reduction.effective.is_empty() {
-            return self.finish_apply(stats, was_match);
-        }
-
-        // Apply the whole (net) batch to the graph before any matching work
-        // so that every support decision sees the final graph. The mutation
-        // runs on the same plan: out-sides sharded by source, in-sides by
-        // target (see [`DataGraph::apply_reduced_batch_sharded`]).
-        *stage = PipelineStage::Mutate;
-        applied.extend_from_slice(&reduction.effective);
-        fail::fire(fail::SIM_MUTATE);
-        graph.apply_reduced_batch_sharded(&reduction.effective, plan);
-
-        // Phase 1 — absorption: absorb every effective edge change into the
-        // counters, sharded by each update's *source* node (the only node
-        // whose counter row an update touches). The match state is untouched
-        // in this phase, so afterwards
-        // `cnt[v][u2] = |children_new(v) ∩ match_old(u2)|` exactly.
-        *stage = PipelineStage::Absorb;
-        fail::fire(fail::SIM_ABSORB);
-        let (demotion_seeds, promotion_seeds) =
-            self.absorb_batch(&reduction.effective, plan, &mut stats);
-
-        // Phase 2 — deletions first (they can only shrink)...
-        if !demotion_seeds.is_empty() {
-            *stage = PipelineStage::Demote;
-            fail::fire(fail::SIM_DEMOTE);
-            self.run_drain(graph, RoundKind::Demote, demotion_seeds, plan, &mut stats);
-        }
-        // ...phase 3 — then insertions.
-        let run_cc = self.has_cycle && self.inserted_touches_scc(&reduction.relevant_insertions);
-        if !promotion_seeds.is_empty() || run_cc {
-            *stage = PipelineStage::Promote;
-            fail::fire(fail::SIM_PROMOTE);
-            self.propagate_insertions_sharded(graph, promotion_seeds, run_cc, plan, &mut stats);
-        }
-        self.finish_apply(stats, was_match)
+            let monotone = batch.iter().all(Update::is_insert);
+            let shared = SharedBatch { batch_len: batch.len(), monotone, effective: &effective };
+            self.apply_shared_stages(graph, &shared, shards, &mut stage)
+        }));
+        outcome.map_err(|payload| {
+            let message = panic_message(payload.as_ref());
+            ApplyError::StagePanicked(self.contain_panic(Some((graph, &effective)), stage, message))
+        })
     }
 
     /// Finalises a batch: converts the tracker's raw match-bit flips into the
@@ -1220,41 +1158,52 @@ impl SimulationIndex {
         ApplyOutcome { stats, delta }
     }
 
-    /// Converts a mid-batch unwind into the transactional contract. The
-    /// graph is *always* rolled back to its pre-batch edge set (rollback of
-    /// an empty `applied` list is the no-op this needs for the pre-mutation
-    /// stages). The index poisons itself unless the panic landed in a stage
-    /// that provably never touches auxiliary state: `Reduce` is pure reads
-    /// and `Mutate` only mutates the graph — for those the pre-batch masks,
-    /// counters and cached view are still exact after the rollback and the
-    /// index stays usable.
+    /// Converts a mid-batch unwind into the transactional contract.
+    /// `owned` is the graph and the effective updates issued to it when the
+    /// caller owns the graph (a standalone batch): the graph is rolled back
+    /// (an empty list is the no-op the pre-mutation stages need), and the
+    /// index stays usable iff the panic landed in a stage that never touches
+    /// auxiliary state — `Reduce` is pure reads and `Mutate` only mutates the
+    /// graph. Behind a [`MatchService`](crate::service::MatchService)
+    /// (`owned` is `None`) the graph mutation is committed service-wide:
+    /// nothing is rolled back, and even a panic in the read-only
+    /// classification leaves this engine *behind* the graph, so it always
+    /// poisons and recovery rebuilds it from the current graph.
     #[cold]
-    fn contain_batch_panic(
+    fn contain_panic(
         &mut self,
-        graph: &mut DataGraph,
+        owned: Option<(&mut DataGraph, &[Update])>,
         stage: PipelineStage,
-        applied: &[Update],
         message: String,
     ) -> StagePanic {
-        graph.rollback_updates(applied);
         self.invalidate_cache();
         self.tracker.reset();
-        let poisoned = !matches!(stage, PipelineStage::Reduce | PipelineStage::Mutate);
+        let rolled_back = if let Some((graph, applied)) = owned {
+            graph.rollback_updates(applied);
+            true
+        } else {
+            false
+        };
+        let poisoned =
+            !rolled_back || !matches!(stage, PipelineStage::Reduce | PipelineStage::Mutate);
         self.poisoned = poisoned;
-        StagePanic { stage: stage.label(), message, rolled_back: true, poisoned }
+        StagePanic { stage: stage.label(), message, rolled_back, poisoned }
     }
 
-    /// The pattern-dependent pipeline of one service batch (see
-    /// [`IncrementalEngine::try_apply_shared`]): classify the shared
-    /// net-effective list against the frozen membership masks, then run
-    /// absorption and the drains against the already-mutated graph.
+    /// The pattern-dependent pipeline of one batch, run against the
+    /// already-mutated graph: by every [`MatchService`] pattern (see
+    /// [`IncrementalEngine::try_apply_shared`]) and by a standalone index
+    /// after its own reduction and mutation
+    /// ([`SimulationIndex::apply_batch_contained`]). Grows the node state,
+    /// classifies the shared net-effective list against the frozen
+    /// membership masks, then runs absorption and the drains.
     ///
     /// Classification ([`is_ss_edge`]/[`is_cs_or_cc_edge`]) reads only the
     /// masks — never graph adjacency — and the masks are still pre-batch at
-    /// this point, so running it *after* the shared graph mutation yields
-    /// exactly the relevance verdicts the single-engine `minDelta` computes
-    /// before mutating; everything downstream is the single-engine pipeline
-    /// verbatim, which already runs post-mutation.
+    /// this point, so running it *after* the graph mutation yields exactly
+    /// the relevance verdicts `minDelta` would compute before mutating.
+    ///
+    /// [`MatchService`]: crate::service::MatchService
     fn apply_shared_stages(
         &mut self,
         graph: &DataGraph,
@@ -1262,115 +1211,66 @@ impl SimulationIndex {
         shards: usize,
         stage: &mut PipelineStage,
     ) -> ApplyOutcome {
+        *stage = PipelineStage::Prepare;
         let mut stats = AffStats { delta_g: batch.batch_len, ..AffStats::default() };
+        // Delta tracking starts before any match-bit mutation — including the
+        // childless-pattern matches `ensure_node_capacity` grants brand-new
+        // nodes. Insert-only batches take the monotone fast path: simulation
+        // is monotone in the edge set, so insertions can only promote and the
+        // removal side of the tracker provably stays empty (CALM).
         let was_match = self.is_match();
         self.tracker.arm(batch.monotone);
+        // Grow the per-node arrays first (batches carry edge updates only, so
+        // any node growth happened before this batch): classification below
+        // must see nodes added since the last index operation as candidates.
         self.ensure_node_capacity(graph);
+        // One plan drives every stage below: absorption and the drains
+        // partition by the same contiguous node ranges.
         let plan = ShardPlan::new(self.nv, shards);
 
-        // The per-pattern half of minDelta: the net-effect half already ran
-        // once service-wide; what remains is the relevance classification.
+        // The per-pattern half of minDelta: count the updates relevant to
+        // the pattern (ss deletions, cs/cc insertions —
+        // `AffStats::reduced_delta_g`) and collect the relevant insertions,
+        // the propCC trigger inputs. The irrelevant survivors were still
+        // applied to the graph and are absorbed into the counters below.
         *stage = PipelineStage::Reduce;
         fail::fire(fail::SIM_REDUCE);
-        let mut reduction = MinDeltaReduction::default();
         let view = self.view();
-        for update in batch.effective {
-            reduction.push(*update, classify(view, update));
+        let mut relevant_insertions: Vec<(NodeId, NodeId)> = Vec::new();
+        for update in batch.effective.iter().filter(|update| classify(view, update)) {
+            stats.reduced_delta_g += 1;
+            if update.is_insert() {
+                relevant_insertions.push(update.endpoints());
+            }
         }
-        stats.reduced_delta_g = reduction.relevant;
-        if reduction.effective.is_empty() {
+        if batch.effective.is_empty() {
             return self.finish_apply(stats, was_match);
         }
 
+        // Phase 1 — absorption: absorb every effective edge change into the
+        // counters, sharded by each update's *source* node (the only node
+        // whose counter row an update touches). The match state is untouched
+        // in this phase, so afterwards
+        // `cnt[v][u2] = |children_new(v) ∩ match_old(u2)|` exactly.
         *stage = PipelineStage::Absorb;
         fail::fire(fail::SIM_ABSORB);
         let (demotion_seeds, promotion_seeds) =
-            self.absorb_batch(&reduction.effective, plan, &mut stats);
+            self.absorb_batch(batch.effective, plan, &mut stats);
+
+        // Phase 2 — deletions first (they can only shrink)...
         if !demotion_seeds.is_empty() {
             *stage = PipelineStage::Demote;
             fail::fire(fail::SIM_DEMOTE);
             self.run_drain(graph, RoundKind::Demote, demotion_seeds, plan, &mut stats);
         }
-        let run_cc = self.has_cycle && self.inserted_touches_scc(&reduction.relevant_insertions);
+        // ...phase 3 — then insertions.
+        let run_cc = self.has_cycle && self.inserted_touches_scc(&relevant_insertions);
         if !promotion_seeds.is_empty() || run_cc {
             *stage = PipelineStage::Promote;
             fail::fire(fail::SIM_PROMOTE);
             self.propagate_insertions_sharded(graph, promotion_seeds, run_cc, plan, &mut stats);
         }
         self.finish_apply(stats, was_match)
-    }
-
-    /// Converts a contained panic of the service-mode pipeline into the
-    /// always-poison contract of [`IncrementalEngine::try_apply_shared`].
-    /// The shared graph mutation is already committed service-wide, so there
-    /// is nothing to roll back — and even a panic in the read-only
-    /// classification stage leaves this engine *behind* the graph (its
-    /// auxiliary state never absorbed the committed batch), which is exactly
-    /// what poisoning expresses. Recovery rebuilds from the current graph.
-    #[cold]
-    fn contain_shared_panic(&mut self, stage: PipelineStage, message: String) -> StagePanic {
-        self.invalidate_cache();
-        self.tracker.reset();
-        self.poisoned = true;
-        StagePanic { stage: stage.label(), message, rolled_back: false, poisoned: true }
-    }
-
-    /// `minDelta` (Fig. 10 lines 1-2) as a sharded two-pass reduction.
-    ///
-    /// Pass 1 partitions the batch by each update's **source** node — all
-    /// updates touching an edge share its source, so each shard can net its
-    /// own edges' effects against the pre-batch graph independently
-    /// ([`net_effective_updates`]) and classify the survivors against the
-    /// (frozen) membership masks in the same sweep. Pass 2 is a
-    /// deterministic merge: survivors are ordered by the position at which
-    /// the batch *first touched* their edge, which is exactly the order the
-    /// sequential reduction emits — so the effective list, the relevance
-    /// count ([`AffStats::reduced_delta_g`]) and the relevant-insertion list
-    /// are bit-identical for every shard count, and one shard is the literal
-    /// sequential reduction.
-    fn min_delta_sharded(
-        &self,
-        graph: &DataGraph,
-        batch: &BatchUpdate,
-        plan: ShardPlan,
-    ) -> MinDeltaReduction {
-        let view = self.view();
-        // Inline fast path: one shard, or too little work to pay for spawns.
-        if plan.count == 1 || batch.len() < PARALLEL_WORK_THRESHOLD {
-            let (effective, _) = reduce_batch(graph, batch);
-            let mut reduction = MinDeltaReduction::default();
-            for update in effective {
-                reduction.push(update, classify(view, &update));
-            }
-            return reduction;
-        }
-
-        let mut per_shard: Vec<Vec<(u32, Update)>> = vec![Vec::new(); plan.count];
-        for (pos, &update) in batch.iter().enumerate() {
-            per_shard[plan.owner(update.endpoints().0.index())].push((pos as u32, update));
-        }
-        let mut merged: Vec<(u32, Update, bool)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = per_shard
-                .into_iter()
-                .map(|slice| {
-                    scope.spawn(move || {
-                        net_effective_updates(graph, &slice)
-                            .into_iter()
-                            .map(|(pos, update)| (pos, update, classify(view, &update)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().flat_map(|h| h.join().expect("minDelta shard panicked")).collect()
-        });
-        // Deterministic merge: ascending first-touch position reproduces the
-        // sequential reduction's output order exactly.
-        merged.sort_unstable_by_key(|&(pos, _, _)| pos);
-        let mut reduction = MinDeltaReduction::default();
-        for (_, update, relevant) in merged {
-            reduction.push(update, relevant);
-        }
-        reduction
     }
 
     /// True if some inserted edge can affect the joint SCC evaluation, so
@@ -1889,30 +1789,6 @@ fn check_buildable(pattern: &Pattern) -> Result<(), BuildError> {
     Ok(())
 }
 
-/// Output of the `minDelta` reduction: the net-effective updates in
-/// first-touch order, how many of them are pattern-relevant (ss deletions or
-/// cs/cc insertions — [`AffStats::reduced_delta_g`]), and the relevant
-/// insertions themselves (the `propCC` trigger inputs).
-#[derive(Default)]
-struct MinDeltaReduction {
-    effective: Vec<Update>,
-    relevant: usize,
-    relevant_insertions: Vec<(NodeId, NodeId)>,
-}
-
-impl MinDeltaReduction {
-    fn push(&mut self, update: Update, relevant: bool) {
-        if relevant {
-            self.relevant += 1;
-            if update.is_insert() {
-                let (a, b) = update.endpoints();
-                self.relevant_insertions.push((a, b));
-            }
-        }
-        self.effective.push(update);
-    }
-}
-
 /// Table II relevance of one update against the frozen masks: an ss edge for
 /// a deletion, a cs/cc edge for an insertion.
 fn classify(view: SlotView<'_>, update: &Update) -> bool {
@@ -1924,9 +1800,7 @@ fn classify(view: SlotView<'_>, update: &Update) -> bool {
 }
 
 /// True if `(from, to)` is an ss edge for some pattern edge: both endpoints
-/// currently match the edge's endpoints (Table II). Free function so the
-/// sharded `minDelta` pass can classify on worker threads without capturing
-/// the index (whose lazy match cache is not `Sync`).
+/// currently match the edge's endpoints (Table II).
 fn is_ss_edge(view: SlotView<'_>, from: NodeId, to: NodeId) -> bool {
     let target = view.matched_of(to.index());
     Bits(view.matched_of(from.index())).any(|u| view.child_mask[u] & target != 0)
@@ -2745,6 +2619,9 @@ impl IncrementalEngine for SimulationIndex {
         shards: usize,
     ) -> SharedMutation {
         fail::fire(fail::SIM_MUTATE);
+        // The whole net batch reaches the graph before any matching work, so
+        // every support decision sees the final graph. Out-sides are sharded
+        // by source, in-sides by target.
         let plan = ShardPlan::new(graph.node_count(), shards);
         graph.apply_reduced_batch_sharded(effective, plan);
         SharedMutation { affected: None, updates_processed: effective.len(), affected_entries: 0 }
@@ -2778,13 +2655,10 @@ impl IncrementalEngine for SimulationIndex {
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             self.apply_shared_stages(graph, batch, shards, &mut stage)
         }));
-        match outcome {
-            Ok(outcome) => Ok(outcome),
-            Err(payload) => {
-                let message = panic_message(payload.as_ref());
-                Err(ApplyError::StagePanicked(self.contain_shared_panic(stage, message)))
-            }
-        }
+        outcome.map_err(|payload| {
+            let message = panic_message(payload.as_ref());
+            ApplyError::StagePanicked(self.contain_panic(None, stage, message))
+        })
     }
 }
 
@@ -3463,8 +3337,8 @@ mod tests {
     fn itemised_bytes(index: &SimulationIndex) -> usize {
         let layout = &index.layout;
         let bitvector = layout.words.len() * size_of::<u64>() + layout.ranks.len() * 4;
-        let per_pattern_node = index.np * 4 * size_of::<u64>()
-            + index.cand_lists.capacity() * size_of::<Arc<Vec<NodeId>>>();
+        let per_pattern_node =
+            index.np * 4 * size_of::<u64>() + index.np * size_of::<Arc<Vec<NodeId>>>();
         let lists: usize =
             index.cand_lists.iter().map(|list| list.capacity() * size_of::<NodeId>()).sum();
         // `rows` holds one more offset than there are slots.

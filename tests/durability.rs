@@ -12,6 +12,11 @@
 //! `ckpt.rename`, `wal.prune`), every shard count in {1, 4, 8} and both
 //! engines, plus:
 //!
+//! * the same crash at every site for the service tier: a
+//!   `DurableMatchService` with two patterns and automatic checkpoints,
+//!   reopened and compared with a never-crashed in-memory `MatchService` —
+//!   graph, every view, the pattern-keyed deltas re-emitted above the
+//!   newest checkpoint, and one further batch in lockstep;
 //! * a seeded 1k+-update property stream with checkpoints at random
 //!   intervals and a crash injected at every site along the way,
 //!   differential-checked against the uninterrupted run *and* a
@@ -29,17 +34,17 @@
 
 mod common;
 
-use common::{serial, with_armed};
+use common::{cycle_pattern, gen_batch, gen_stream, seed_world, serial, with_armed, Rng, Scratch};
 use igpm::core::{
-    configured_shards, AffStats, BoundedIndex, BsimAuxSnapshot, DurableError, DurableIndex,
-    DurableMatchService, DurableOptions, IncrementalEngine, SimAuxSnapshot, SimulationIndex,
+    configured_shards, AffStats, ApplyOutcome, BoundedIndex, BsimAuxSnapshot, DurableError,
+    DurableIndex, DurableMatchService, DurableOptions, IncrementalEngine, MatchDelta, MatchService,
+    PatternId, ServiceApply, ServiceDeltaEvent, SimAuxSnapshot, SimulationIndex,
 };
 use igpm::graph::fail;
 use igpm::graph::wal::FsyncPolicy;
-use igpm::graph::{ApplyError, BatchUpdate, DataGraph, EdgeBound, NodeId, Pattern};
+use igpm::graph::{ApplyError, BatchUpdate, DataGraph, EdgeBound, Pattern};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 const SHARD_COUNTS: [usize; 3] = [1, 4, 8];
 
@@ -53,45 +58,9 @@ const DURABILITY_SITES: [&str; 6] = [
     fail::WAL_PRUNE,
 ];
 
-/// A fresh scratch directory for one durable index; removed by `Scratch`'s
-/// drop so failures don't leak state between test processes.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("igpm-durability-{tag}-{}-{unique}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
 // ---------------------------------------------------------------------------
 // World and stream generation
 // ---------------------------------------------------------------------------
-
-/// Cyclic normal pattern `l0 ⇄ l1` — both nodes share one nontrivial SCC,
-/// so promotion phases run.
-fn cycle_pattern() -> Pattern {
-    let mut p = Pattern::new();
-    let a = p.add_labeled_node("l0");
-    let b = p.add_labeled_node("l1");
-    p.add_normal_edge(a, b);
-    p.add_normal_edge(b, a);
-    p
-}
 
 /// Bounded b-pattern `l0 -[1]-> l1 -[*]-> l0` for the bounded engine.
 fn bounded_cycle_pattern() -> Pattern {
@@ -101,72 +70,6 @@ fn bounded_cycle_pattern() -> Pattern {
     p.add_edge(a, b, EdgeBound::Hops(1));
     p.add_edge(b, a, EdgeBound::Unbounded);
     p
-}
-
-/// `n` nodes with alternating labels and a seed ring, so the generated
-/// streams keep creating and destroying `l0 ⇄ l1` cycles.
-fn seed_world(n: usize) -> DataGraph {
-    let mut graph = DataGraph::new();
-    let nodes: Vec<NodeId> =
-        (0..n).map(|i| graph.add_labeled_node(format!("l{}", i % 2))).collect();
-    for i in 0..n {
-        graph.add_edge(nodes[i], nodes[(i + 1) % n]);
-    }
-    graph
-}
-
-/// Deterministic splitmix-style generator: same seed, same stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let x = self.0;
-        (x ^ (x >> 33)).wrapping_mul(0xff51afd7ed558ccd) >> 17
-    }
-}
-
-/// One validation-clean batch against `graph`: every update is effective at
-/// its position (presence tracked through the batch), so `try_apply_batch`
-/// accepts it whole.
-fn gen_batch(rng: &mut Rng, graph: &DataGraph, per_batch: usize) -> BatchUpdate {
-    let nv = graph.node_count() as u64;
-    let mut batch = BatchUpdate::new();
-    let mut overlay: std::collections::HashMap<(NodeId, NodeId), bool> =
-        std::collections::HashMap::new();
-    while batch.len() < per_batch {
-        let a = NodeId((rng.next() % nv) as u32);
-        let b = NodeId((rng.next() % nv) as u32);
-        if a == b {
-            continue;
-        }
-        let present = *overlay.entry((a, b)).or_insert_with(|| graph.has_edge(a, b));
-        if present {
-            batch.delete(a, b);
-        } else {
-            batch.insert(a, b);
-        }
-        overlay.insert((a, b), !present);
-    }
-    batch
-}
-
-/// A stream of `count` batches, each valid against the graph as left by its
-/// predecessors.
-fn gen_stream(
-    rng: &mut Rng,
-    initial: &DataGraph,
-    count: usize,
-    per_batch: usize,
-) -> Vec<BatchUpdate> {
-    let mut graph = initial.clone();
-    (0..count)
-        .map(|_| {
-            let batch = gen_batch(rng, &graph, per_batch);
-            batch.apply(&mut graph);
-            batch
-        })
-        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -186,6 +89,9 @@ trait TestEngine: IncrementalEngine {
     const CANONICAL_AUX: bool;
     fn aux(&self) -> Self::Aux;
     fn test_pattern() -> Pattern;
+    /// The two patterns a durable service of this engine serves: the cyclic
+    /// [`TestEngine::test_pattern`] and an acyclic one over the same labels.
+    fn service_patterns() -> Vec<Pattern>;
 }
 
 impl TestEngine for SimulationIndex {
@@ -198,6 +104,16 @@ impl TestEngine for SimulationIndex {
     fn test_pattern() -> Pattern {
         cycle_pattern()
     }
+    fn service_patterns() -> Vec<Pattern> {
+        // The path l0 → l1 → l0.
+        let mut path = Pattern::new();
+        let a = path.add_labeled_node("l0");
+        let b = path.add_labeled_node("l1");
+        let c = path.add_labeled_node("l0");
+        path.add_normal_edge(a, b);
+        path.add_normal_edge(b, c);
+        vec![cycle_pattern(), path]
+    }
 }
 
 impl TestEngine for BoundedIndex {
@@ -209,6 +125,16 @@ impl TestEngine for BoundedIndex {
     }
     fn test_pattern() -> Pattern {
         bounded_cycle_pattern()
+    }
+    fn service_patterns() -> Vec<Pattern> {
+        // l1 -[2]-> l0 -[*]-> l1, with distinct end nodes.
+        let mut path = Pattern::new();
+        let a = path.add_labeled_node("l1");
+        let b = path.add_labeled_node("l0");
+        let c = path.add_labeled_node("l1");
+        path.add_edge(a, b, EdgeBound::Hops(2));
+        path.add_edge(b, c, EdgeBound::Unbounded);
+        vec![bounded_cycle_pattern(), path]
     }
 }
 
@@ -272,6 +198,19 @@ fn assert_bit_identical<E: TestEngine>(
     let ref_outcome = ref_engine
         .try_apply_batch_with_shards(ref_graph, &extra, shards)
         .unwrap_or_else(|e| panic!("{context}: reference extra batch failed: {e}"));
+    assert_extra_outcome_eq::<E>(context, &durable_outcome, &ref_outcome);
+    assert!(durable.graph().identical_to(ref_graph), "{context}: graphs diverged after extra");
+    assert_eq!(durable.engine().aux(), ref_engine.aux(), "{context}: aux diverged after extra");
+}
+
+/// The lockstep check of one extra batch after a recovery: the full
+/// [`ApplyOutcome`] when the engine's aux state is canonical, the semantic
+/// fields otherwise (see [`TestEngine::CANONICAL_AUX`]).
+fn assert_extra_outcome_eq<E: TestEngine>(
+    context: &str,
+    durable_outcome: &ApplyOutcome,
+    ref_outcome: &ApplyOutcome,
+) {
     if E::CANONICAL_AUX {
         assert_eq!(
             durable_outcome, ref_outcome,
@@ -294,8 +233,6 @@ fn assert_bit_identical<E: TestEngine>(
         durable_outcome.delta, ref_outcome.delta,
         "{context}: ΔM diverged on the extra batch"
     );
-    assert!(durable.graph().identical_to(ref_graph), "{context}: graphs diverged after extra");
-    assert_eq!(durable.engine().aux(), ref_engine.aux(), "{context}: aux diverged after extra");
 }
 
 // ---------------------------------------------------------------------------
@@ -361,7 +298,7 @@ fn crash_and_recover<E: TestEngine>(
 fn check_durability_site<E: TestEngine>(site: &str, shards: usize) {
     let context = format!("engine={}, site=`{site}`, shards={shards}", E::NAME);
     let pattern = E::test_pattern();
-    let initial = seed_world(24);
+    let initial = seed_world(24, 2);
     let mut rng = Rng(0xD15C_0000 ^ shards as u64);
     let batches = gen_stream(&mut rng, &initial, 10, 6);
     // checkpoint_every=2 with keep_checkpoints=2 reaches every checkpoint
@@ -420,6 +357,188 @@ fn crash_at_every_durability_site_recovers_bit_identical_bsim() {
 }
 
 // ---------------------------------------------------------------------------
+// 1b. The service tier: crash at every durability site × shards × engines
+// ---------------------------------------------------------------------------
+
+/// Every pattern's `ΔM` of one committed service batch, in [`PatternId`]
+/// order.
+fn service_deltas(context: &str, apply: &ServiceApply) -> Vec<(PatternId, MatchDelta)> {
+    apply
+        .outcomes
+        .iter()
+        .map(|(id, outcome)| {
+            let outcome = outcome.as_ref().unwrap_or_else(|e| panic!("{context}: {id:?}: {e}"));
+            (*id, outcome.delta.clone())
+        })
+        .collect()
+}
+
+/// Asserts that a freshly opened durable service re-emitted exactly the
+/// never-crashed run's pattern-keyed deltas for every batch above its newest
+/// checkpoint: `reference[seq - 1]` holds batch `seq`'s deltas.
+fn assert_replayed_deltas<E: IncrementalEngine>(
+    context: &str,
+    service: &DurableMatchService<E>,
+    reference: &[Vec<(PatternId, MatchDelta)>],
+) {
+    let first = service.last_checkpoint_seq() + 1;
+    let mut subscription = service.subscribe_from(first);
+    let mut replayed: Vec<(u64, PatternId, MatchDelta)> = Vec::new();
+    while let Some(event) = subscription.poll() {
+        match event {
+            ServiceDeltaEvent::Delta { pattern_id, seq, delta } => {
+                replayed.push((seq, pattern_id, (*delta).clone()))
+            }
+            ServiceDeltaEvent::Lagged { missed, resume_seq } => {
+                panic!("{context}: unexpected lag (missed {missed}, resume {resume_seq})")
+            }
+        }
+    }
+    let expected: Vec<(u64, PatternId, MatchDelta)> = (first..=service.sequence())
+        .flat_map(|seq| {
+            reference[seq as usize - 1].iter().map(move |(id, delta)| (seq, *id, delta.clone()))
+        })
+        .collect();
+    assert_eq!(replayed, expected, "{context}: re-emitted deltas diverged");
+}
+
+/// Asserts a durable service serves the reference service's state: the
+/// graph (adjacency order included) and every pattern's view.
+fn assert_service_state<E: IncrementalEngine>(
+    context: &str,
+    durable: &DurableMatchService<E>,
+    reference: &MatchService<E>,
+    ids: &[PatternId],
+) {
+    assert!(
+        durable.service().graph().identical_to(reference.graph()),
+        "{context}: recovered graph differs from the never-crashed run"
+    );
+    durable.service().graph().assert_edge_index_consistent();
+    for id in ids {
+        assert_eq!(
+            *durable.try_matches(*id).expect("recovered view"),
+            *reference.matches(*id).expect("reference view"),
+            "{context}: view of {id:?} diverged"
+        );
+    }
+}
+
+/// The [`check_durability_site`] contract lifted to the service tier: a
+/// [`DurableMatchService`] with two patterns and automatic checkpointing,
+/// crashed at `site`, reopened and resumed, lands on the state of a
+/// never-crashed in-memory [`MatchService`] fed the same batches — graph,
+/// views and the deltas re-emitted above the newest checkpoint — and stays
+/// in lockstep with it for one more batch.
+fn check_service_durability_site<E: TestEngine>(site: &str, shards: usize) {
+    let context = format!("service engine={}, site=`{site}`, shards={shards}", E::NAME);
+    let patterns = E::service_patterns();
+    let initial = seed_world(24, 2);
+    let mut rng = Rng(0x5E41_0000 ^ shards as u64);
+    let batches = gen_stream(&mut rng, &initial, 10, 6);
+    // checkpoint_every=2 with keep_checkpoints=2 reaches every checkpoint
+    // site within the stream, as in `check_durability_site`.
+    let options = opts(shards, 2);
+
+    let mut reference: MatchService<E> = MatchService::with_shards(initial.clone(), shards);
+    let ids: Vec<PatternId> =
+        patterns.iter().map(|p| reference.register(p).expect("reference register")).collect();
+    let mut ref_deltas: Vec<Vec<(PatternId, MatchDelta)>> = batches
+        .iter()
+        .map(|batch| service_deltas(&context, &reference.apply(batch).expect("reference apply")))
+        .collect();
+
+    let scratch = Scratch::new(&format!("service-site-{}-{shards}", E::NAME));
+    let open = || {
+        let (service, opened_ids) =
+            DurableMatchService::<E>::open(scratch.path(), &patterns, &initial, options.clone())
+                .unwrap_or_else(|e| panic!("{context}: open failed: {e}"));
+        assert_eq!(opened_ids, ids, "{context}: dense registration must mint identical ids");
+        service
+    };
+    let mut victim = open();
+    let mut crashed = false;
+    let mut i = 0usize;
+    while i < batches.len() {
+        if crashed {
+            victim
+                .apply(&batches[i])
+                .unwrap_or_else(|e| panic!("{context}: resume batch {i} failed: {e}"));
+            i += 1;
+            continue;
+        }
+        match with_armed(site, || catch_unwind(AssertUnwindSafe(|| victim.apply(&batches[i])))) {
+            Ok(result) => {
+                result.unwrap_or_else(|e| panic!("{context}: armed apply {i} errored: {e}"));
+                i += 1;
+            }
+            Err(_) => {
+                // The "process" died at the armed instruction: reopen, check
+                // the replayed tail, and resume exactly where the log says.
+                crashed = true;
+                drop(victim);
+                victim = open();
+                let logged = victim.sequence() as usize;
+                assert!(
+                    logged == i || logged == i + 1,
+                    "{context}: recovered sequence {logged} is not batch {i} ± the crashed one"
+                );
+                assert_replayed_deltas(&context, &victim, &ref_deltas);
+                i = logged;
+            }
+        }
+    }
+    assert!(crashed, "{context}: site never fired");
+    assert_service_state(&context, &victim, &reference, &ids);
+
+    // One extra batch keeps every pattern in lockstep.
+    let extra = gen_batch(&mut rng, reference.graph(), 4);
+    let durable_apply =
+        victim.apply(&extra).unwrap_or_else(|e| panic!("{context}: extra batch failed: {e}"));
+    let ref_apply = reference.apply(&extra).expect("reference extra batch");
+    for id in &ids {
+        let pattern_context = format!("{context}, {id:?}");
+        let outcome = |apply: &ServiceApply| -> ApplyOutcome {
+            apply.outcomes[id].clone().unwrap_or_else(|e| panic!("{pattern_context}: {e}"))
+        };
+        assert_extra_outcome_eq::<E>(
+            &pattern_context,
+            &outcome(&durable_apply),
+            &outcome(&ref_apply),
+        );
+    }
+    ref_deltas.push(service_deltas(&context, &ref_apply));
+    assert_service_state(&context, &victim, &reference, &ids);
+
+    // A clean close + reopen re-emits the same tail and serves the same state.
+    drop(victim);
+    let reopened = open();
+    assert_eq!(reopened.sequence() as usize, ref_deltas.len(), "{context}: lost a batch");
+    assert_replayed_deltas(&context, &reopened, &ref_deltas);
+    assert_service_state(&context, &reopened, &reference, &ids);
+}
+
+#[test]
+fn crash_at_every_durability_site_recovers_durable_service_sim() {
+    let _guard = serial();
+    for shards in SHARD_COUNTS {
+        for site in DURABILITY_SITES {
+            check_service_durability_site::<SimulationIndex>(site, shards);
+        }
+    }
+}
+
+#[test]
+fn crash_at_every_durability_site_recovers_durable_service_bsim() {
+    let _guard = serial();
+    for shards in SHARD_COUNTS {
+        for site in DURABILITY_SITES {
+            check_service_durability_site::<BoundedIndex>(site, shards);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // 2. Seeded 1k+-update property stream with random checkpoints
 // ---------------------------------------------------------------------------
 
@@ -427,7 +546,7 @@ fn property_stream<E: TestEngine>(seed: u64) {
     let shards = configured_shards();
     let context = format!("engine={}, seed={seed:#x}, shards={shards}", E::NAME);
     let pattern = E::test_pattern();
-    let initial = seed_world(40);
+    let initial = seed_world(40, 2);
     let mut rng = Rng(seed);
     // 64 batches × 18 updates = 1152 updates — and the generator's own
     // stream of checkpoint decisions rides the same seed.
@@ -547,7 +666,7 @@ fn crash_during_recovery_replay_then_clean_recovery() {
     let _guard = serial();
     let shards = configured_shards();
     let pattern = cycle_pattern();
-    let initial = seed_world(24);
+    let initial = seed_world(24, 2);
     let mut rng = Rng(0xDB1_CA5E);
     let batches = gen_stream(&mut rng, &initial, 8, 6);
     let options = opts(shards, 0);
@@ -640,7 +759,7 @@ fn torn_wal_tails_lose_only_the_torn_record() {
     let _guard = serial();
     let shards = configured_shards();
     let pattern = cycle_pattern();
-    let initial = seed_world(24);
+    let initial = seed_world(24, 2);
     let mut rng = Rng(0x7042_7041);
     let batches = gen_stream(&mut rng, &initial, 6, 5);
     let options = opts(shards, 0);
@@ -699,7 +818,7 @@ fn corrupt_newest_checkpoint_falls_back_and_replays_further() {
     let _guard = serial();
     let shards = configured_shards();
     let pattern = cycle_pattern();
-    let initial = seed_world(24);
+    let initial = seed_world(24, 2);
     let mut rng = Rng(0xC0D_FA11);
     let batches = gen_stream(&mut rng, &initial, 9, 5);
     let options = opts(shards, 0);
@@ -775,7 +894,7 @@ fn wal_without_checkpoint_is_refused() {
     let attempt = DurableIndex::<SimulationIndex>::open(
         scratch.path().clone(),
         &cycle_pattern(),
-        &seed_world(8),
+        &seed_world(8, 2),
         opts(1, 0),
     );
     assert!(
@@ -794,7 +913,7 @@ fn fsync_policies_produce_identical_durable_state() {
     let _guard = serial();
     let shards = configured_shards();
     let pattern = cycle_pattern();
-    let initial = seed_world(24);
+    let initial = seed_world(24, 2);
     let mut rng = Rng(0xF5F5_F5F5);
     let batches = gen_stream(&mut rng, &initial, 12, 6);
 
@@ -837,7 +956,7 @@ fn contained_engine_panic_after_logging_reconciles_from_disk() {
     let _guard = serial();
     let shards = configured_shards();
     let pattern = cycle_pattern();
-    let initial = seed_world(24);
+    let initial = seed_world(24, 2);
     let mut rng = Rng(0x106D_106D);
     let batches = gen_stream(&mut rng, &initial, 5, 5);
     let options = opts(shards, 0);
@@ -886,7 +1005,7 @@ fn contained_engine_panic_after_logging_reconciles_from_disk() {
 fn degenerate_durable_options_are_rejected_at_open() {
     let _guard = serial();
     let pattern = cycle_pattern();
-    let initial = seed_world(8);
+    let initial = seed_world(8, 2);
 
     type Degrade = fn(&mut DurableOptions);
     let cases: [(&str, Degrade, &str); 3] = [
@@ -963,7 +1082,7 @@ fn degenerate_durable_options_are_rejected_at_open() {
 fn checkpoint_every_zero_only_disables_automatic_checkpoints() {
     let _guard = serial();
     let pattern = cycle_pattern();
-    let initial = seed_world(10);
+    let initial = seed_world(10, 2);
     let mut rng = Rng(0xCE00);
     let scratch = Scratch::new("ckpt-zero");
     let mut durable: DurableIndex<SimulationIndex> =

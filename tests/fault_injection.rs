@@ -31,7 +31,7 @@
 
 mod common;
 
-use common::{serial, with_armed};
+use common::{cycle_pattern, serial, with_armed};
 use igpm::core::{BoundedIndex, SimulationIndex};
 use igpm::graph::fail;
 use igpm::graph::{ApplyError, BatchUpdate, DataGraph, NodeId, Pattern};
@@ -66,17 +66,6 @@ fn two_ring_world(ring_len: usize) -> World {
     World { graph, ring_a, ring_b }
 }
 
-/// Cyclic normal pattern `l0 ⇄ l1` — both nodes sit in one nontrivial SCC,
-/// so insertions into the rings engage the sharded `propCC` phase.
-fn cycle_pattern() -> Pattern {
-    let mut p = Pattern::new();
-    let a = p.add_labeled_node("l0");
-    let b = p.add_labeled_node("l1");
-    p.add_normal_edge(a, b);
-    p.add_normal_edge(b, a);
-    p
-}
-
 /// Bounded b-pattern `l0 -[1]-> l1 -[*]-> l0` — cyclic, so the promotion
 /// phase always runs; the 1-hop bound makes ring-edge deletions demote.
 fn bounded_cycle_pattern() -> Pattern {
@@ -102,7 +91,9 @@ fn crash_batch(world: &World) -> BatchUpdate {
 }
 
 /// Every site the plain-simulation batch pipeline reaches for `crash_batch`,
-/// in pipeline order.
+/// in pipeline order except for `sim.reduce`: it fires in the relevance
+/// classification, which runs after the graph mutation (the net-effect
+/// reduction before the mutation has no site of its own).
 const SIM_SITES: [&str; 9] = [
     fail::SHARD_PLAN,
     fail::SIM_REDUCE,

@@ -26,102 +26,15 @@
 
 mod common;
 
-use common::{serial, with_armed};
+use common::{drain_deltas, gen_stream, seed_world, serial, with_armed, Rng, Scratch};
 use igpm::core::IncrementalEngine;
 use igpm::graph::fail;
 use igpm::graph::wal::FsyncPolicy;
 use igpm::prelude::*;
 use std::collections::BTreeMap;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
-
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("igpm-ingest-{tag}-{}-{unique}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
-}
-
-/// Deterministic splitmix-style generator: same seed, same stream.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        let x = self.0;
-        (x ^ (x >> 33)).wrapping_mul(0xff51afd7ed558ccd) >> 17
-    }
-}
-
-fn seed_world(n: usize, labels: usize) -> DataGraph {
-    let mut graph = DataGraph::new();
-    let nodes: Vec<NodeId> =
-        (0..n).map(|i| graph.add_labeled_node(format!("l{}", i % labels))).collect();
-    for i in 0..n {
-        graph.add_edge(nodes[i], nodes[(i + 1) % n]);
-    }
-    graph
-}
-
-/// One validation-clean batch: every update is effective at its position.
-fn gen_batch(rng: &mut Rng, graph: &DataGraph, per_batch: usize) -> BatchUpdate {
-    let nv = graph.node_count() as u64;
-    let mut batch = BatchUpdate::new();
-    let mut overlay: std::collections::HashMap<(NodeId, NodeId), bool> =
-        std::collections::HashMap::new();
-    while batch.len() < per_batch {
-        let a = NodeId((rng.next() % nv) as u32);
-        let b = NodeId((rng.next() % nv) as u32);
-        if a == b {
-            continue;
-        }
-        let present = *overlay.entry((a, b)).or_insert_with(|| graph.has_edge(a, b));
-        if present {
-            batch.delete(a, b);
-        } else {
-            batch.insert(a, b);
-        }
-        overlay.insert((a, b), !present);
-    }
-    batch
-}
-
-/// A stream of submissions, each valid against the graph left by its
-/// predecessors — exactly what per-submission ingest validation admits.
-fn gen_stream(
-    rng: &mut Rng,
-    initial: &DataGraph,
-    count: usize,
-    per_batch: usize,
-) -> Vec<BatchUpdate> {
-    let mut graph = initial.clone();
-    (0..count)
-        .map(|_| {
-            let batch = gen_batch(rng, &graph, per_batch);
-            batch.apply(&mut graph);
-            batch
-        })
-        .collect()
-}
 
 fn durable_opts(shards: usize, checkpoint_every: u64) -> DurableOptions {
     DurableOptions {
@@ -130,21 +43,6 @@ fn durable_opts(shards: usize, checkpoint_every: u64) -> DurableOptions {
         keep_checkpoints: 2,
         shards,
         delta_buffer: 4096,
-    }
-}
-
-/// Drains a subscription into `(seq → delta)`, asserting no `Lagged` events.
-fn drain_deltas(sub: &mut Subscription, sink: &mut BTreeMap<u64, MatchDelta>, context: &str) {
-    while let Some(event) = sub.poll() {
-        match event {
-            DeltaEvent::Delta { seq, delta } => {
-                let prior = sink.insert(seq, (*delta).clone());
-                assert!(prior.is_none(), "{context}: seq {seq} emitted twice");
-            }
-            DeltaEvent::Lagged { missed, resume_seq } => {
-                panic!("{context}: unexpected lag (missed {missed}, resume {resume_seq})")
-            }
-        }
     }
 }
 

@@ -26,7 +26,7 @@
 
 mod common;
 
-use common::serial;
+use common::{serial, Scratch};
 use igpm::core::{
     match_simulation, ApplyError, BoundedIndex, DurableMatchService, DurableOptions, MatchService,
     PatternId, ServiceDeltaEvent, ServiceError, SimulationIndex,
@@ -38,8 +38,6 @@ use igpm::prelude::{
     generate_pattern, match_bounded_with_matrix, mixed_batch, synthetic_graph, PatternGenConfig,
     PatternShape, SyntheticConfig,
 };
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Runs `f` with the default panic hook silenced (injected panics would
 /// otherwise spray backtraces over the test output). Safe under `SERIAL`.
@@ -49,30 +47,6 @@ fn with_muted_hook<T>(f: impl FnOnce() -> T) -> T {
     let result = f();
     std::panic::set_hook(hook);
     result
-}
-
-/// Self-cleaning scratch directory for the durable-service tests.
-struct Scratch(PathBuf);
-
-impl Scratch {
-    fn new(tag: &str) -> Self {
-        static COUNTER: AtomicUsize = AtomicUsize::new(0);
-        let unique = COUNTER.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir()
-            .join(format!("igpm-service-{tag}-{}-{unique}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        Scratch(dir)
-    }
-
-    fn path(&self) -> &PathBuf {
-        &self.0
-    }
-}
-
-impl Drop for Scratch {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
-    }
 }
 
 fn durable_opts(shards: usize) -> DurableOptions {
